@@ -143,27 +143,31 @@ func TestPropertyRandomModelsSolveConsistently(t *testing.T) {
 }
 
 // TestPropertyExactEffectiveQuantumMomentsAgree verifies that the exact
-// truncated PH representation of the effective quantum reports the same
-// moments as the absorbing-chain computation it came from.
+// truncated PH representation of the effective quantum — the dense
+// (ξ, T) the extraction factorizes — reports the same moments as the
+// absorbing-chain computation it came from.
 func TestPropertyExactEffectiveQuantumMomentsAgree(t *testing.T) {
+	opts := SolveOptions{}.withDefaults()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomModel(rng)
-		res, err := Solve(m, SolveOptions{})
+		res, err := Solve(m, opts)
 		if err != nil {
 			return false
 		}
 		for _, cr := range res.Classes {
 			eq := cr.Effective
-			if eq.Exact == nil {
+			s, alpha, _, err := cr.chain.absorbingChain(cr.Solution, opts.TailEps, opts.TruncationCap, &quantumScratch{})
+			if err != nil {
 				return false
 			}
-			// Exact.Mean() is the conditional-on-start mean weighted by
+			exact := &phase.Dist{Alpha: alpha, S: s}
+			// exact.Mean() is the conditional-on-start mean weighted by
 			// the deficient initial vector — exactly Moments[0].
-			if math.Abs(eq.Exact.Mean()-eq.Moments[0]) > 1e-8*(1+eq.Moments[0]) {
+			if math.Abs(exact.Mean()-eq.Moments[0]) > 1e-8*(1+eq.Moments[0]) {
 				return false
 			}
-			if math.Abs(eq.Exact.AtomAtZero()-eq.Atom) > 1e-8 {
+			if math.Abs(exact.AtomAtZero()-eq.Atom) > 1e-8 {
 				return false
 			}
 		}

@@ -28,6 +28,8 @@ type ClassChain struct {
 	// with (SolveOptions.SparseMaxDensity); Refill re-adopts with the same
 	// threshold so a refilled chain is bit-for-bit a rebuilt one.
 	adoptMaxDensity float64
+
+	quantum quantumScratch // ExtractEffectiveQuantum's buffers
 }
 
 // Refill regenerates the chain's generator entries in place for a model

@@ -164,22 +164,15 @@ func completeDiag(local, up, down *matrix.Dense) {
 
 // emit enumerates every outgoing transition of state st at level i,
 // invoking add(destLevel, destState, rate) for each. Self-transitions may
-// be emitted; diagonal completion cancels them exactly.
+// be emitted; diagonal completion cancels them exactly. A destination's
+// occupancy vector may be the space's scratch, rewritten by the next
+// transition: add may index it but must not retain it. emit allocates
+// nothing; every rate table it reads was computed by the space's bind.
 func (sp *classSpace) emit(i int, st classState, add func(int, classState, float64)) {
-	sa := sp.arrival.S
-	sa0 := sp.arrival.ExitVector()
-	alphaA := sp.arrival.Alpha
-	sb := sp.service.S
-	sb0 := sp.service.ExitVector()
-	betaB := sp.service.Alpha
-	sg := sp.quantum.S
-	sg0 := sp.quantum.ExitVector()
-	alphaG := sp.quantum.Alpha
-	sf := sp.intervisit.S
-	sf0 := sp.intervisit.ExitVector()
-	alphaF := sp.intervisit.Alpha
-
-	zeros := make([]int, sp.mB)
+	sa, sb, sg, sf := sp.arrival.S, sp.service.S, sp.quantum.S, sp.intervisit.S
+	sa0, sb0, sg0, sf0 := sp.exitA, sp.exitB, sp.exitG, sp.exitF
+	alphaA, betaB, alphaG, alphaF := sp.arrival.Alpha, sp.service.Alpha, sp.quantum.Alpha, sp.intervisit.Alpha
+	dj := sp.dest
 
 	// Arrival-phase internal transitions.
 	for a2 := 0; a2 < sp.mA; a2++ {
@@ -207,12 +200,15 @@ func (sp *classSpace) emit(i int, st classState, add func(int, classState, float
 					add(i+size, classState{a: a2, j: st.j, k: st.k}, base)
 					continue
 				}
-				for _, v := range compositions(enter, sp.mB) {
-					pr := multinomialProb(v, betaB)
+				for c, v := range sp.entry[enter] {
+					pr := sp.entryProb[enter][c]
 					if pr == 0 {
 						continue
 					}
-					add(i+size, classState{a: a2, j: addVec(st.j, v), k: st.k}, base*pr)
+					for n := range dj {
+						dj[n] = st.j[n] + v[n]
+					}
+					add(i+size, classState{a: a2, j: dj, k: st.k}, base*pr)
 				}
 			}
 		}
@@ -230,7 +226,7 @@ func (sp *classSpace) emit(i int, st classState, add func(int, classState, float
 					continue
 				}
 				if r := sb.At(n, mph); r > 0 {
-					add(i, classState{a: st.a, j: copyWith(st.j, n, mph), k: st.k}, jn*r)
+					add(i, classState{a: st.a, j: moveJob(dj, st.j, n, mph), k: st.k}, jn*r)
 				}
 			}
 			// Completions.
@@ -243,17 +239,17 @@ func (sp *classSpace) emit(i int, st classState, add func(int, classState, float
 				// Queue empties: early switch into the intervisit period.
 				for f := 0; f < sp.nF; f++ {
 					if alphaF[f] > 0 {
-						add(0, classState{a: st.a, j: zeros, k: sp.mG + f}, base*alphaF[f])
+						add(0, classState{a: st.a, j: sp.zeros, k: sp.mG + f}, base*alphaF[f])
 					}
 				}
 			case i <= sp.servers:
 				// A partition is freed; no queued job to backfill.
-				add(i-1, classState{a: st.a, j: copyWith(st.j, n, -1), k: st.k}, base)
+				add(i-1, classState{a: st.a, j: moveJob(dj, st.j, n, -1), k: st.k}, base)
 			default:
 				// Backfill the freed partition from the queue.
 				for mph := 0; mph < sp.mB; mph++ {
 					if betaB[mph] > 0 {
-						add(i-1, classState{a: st.a, j: copyWith(st.j, n, mph), k: st.k}, base*betaB[mph])
+						add(i-1, classState{a: st.a, j: moveJob(dj, st.j, n, mph), k: st.k}, base*betaB[mph])
 					}
 				}
 			}
@@ -300,10 +296,21 @@ func (sp *classSpace) emit(i int, st classState, add func(int, classState, float
 				// Empty queue: skip the quantum, start the next intervisit.
 				for f2 := 0; f2 < sp.nF; f2++ {
 					if alphaF[f2] > 0 {
-						add(0, classState{a: st.a, j: zeros, k: sp.mG + f2}, sf0[f]*alphaF[f2])
+						add(0, classState{a: st.a, j: sp.zeros, k: sp.mG + f2}, sf0[f]*alphaF[f2])
 					}
 				}
 			}
 		}
 	}
+}
+
+// moveJob writes j into dst with one job moved out of phase from and
+// into phase to (−1: the job leaves service) and returns dst.
+func moveJob(dst, j []int, from, to int) []int {
+	copy(dst, j)
+	dst[from]--
+	if to >= 0 {
+		dst[to]++
+	}
+	return dst
 }

@@ -175,6 +175,11 @@ func (s *Session) stageBuildClass(m *Model, p int, f *phase.Dist, opts SolveOpti
 		return nil, err
 	}
 	cnt.Builds++
+	if st.chain != nil {
+		// The extraction scratch is sized by truncation depth, not by
+		// structure: the class keeps one set across rebuilds.
+		ch.quantum = st.chain.quantum
+	}
 	if st.sig != sig {
 		st.lastR = nil
 	}
@@ -227,7 +232,7 @@ func (s *Session) stageSolveQBD(p int, ch *ClassChain, opts SolveOptions, cnt *C
 // stageExtractQuantum is pipeline stage 4: the effective-quantum
 // extraction from the solved chain (Theorem 4.3's per-class output).
 func stageExtractQuantum(ch *ClassChain, sol *qbd.Solution, opts SolveOptions) (*EffectiveQuantum, error) {
-	return ExtractEffectiveQuantum(ch, sol, opts.TailEps, opts.TruncationCap, opts.RMatrix.Workspace)
+	return ExtractEffectiveQuantum(ch, sol, opts.TailEps, opts.TruncationCap)
 }
 
 // solveClass chains stages 2–4 for one class and assembles its
@@ -248,7 +253,7 @@ func (s *Session) solveClass(m *Model, p int, f *phase.Dist, opts SolveOptions, 
 	cr.Stable = true
 	cr.Solution = sol
 	cr.Cert = sol.Cert
-	cr.SpectralRadiusR = sol.SpectralRadiusR()
+	cr.SpectralRadiusR = sol.Cert.SpectralRadius
 	cr.N, err = ch.MeanJobs(sol)
 	if err != nil {
 		return nil, err

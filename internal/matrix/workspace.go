@@ -93,3 +93,18 @@ func (w *Workspace) PutLU(fs ...*LU) {
 		w.lus[n] = append(w.lus[n], f)
 	}
 }
+
+// Held returns how many matrices, vectors and LU shells the arena holds
+// checked in: what it retains between solves.
+func (w *Workspace) Held() (mats, vecs, lus int) {
+	for _, pool := range w.mats {
+		mats += len(pool)
+	}
+	for _, pool := range w.vecs {
+		vecs += len(pool)
+	}
+	for _, pool := range w.lus {
+		lus += len(pool)
+	}
+	return mats, vecs, lus
+}

@@ -310,8 +310,40 @@ func TestSpectralRadiusR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp := sol.SpectralRadiusR(); !almostEq(sp, 0.5, 1e-8) {
+	if sp := sol.Cert.SpectralRadius; !almostEq(sp, 0.5, 1e-8) {
 		t.Fatalf("sp(R) = %g, want 0.5", sp)
+	}
+}
+
+// TestCertSpectralRadiusIsTightBound pins the certificate's spectral
+// bound to the tight 40-squaring Gelfand bound of the returned R, bit for
+// bit, on the cold, warm and Newton paths: callers report it as sp(R)
+// instead of recomputing it.
+func TestCertSpectralRadiusIsTightBound(t *testing.T) {
+	cold, err := Solve(mErlang2_1(0.6, 1), RMatrixOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Solve(mErlang2_1(0.61, 1), RMatrixOptions{InitialR: cold.R})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newton, err := Solve(mErlang2_1(0.6, 1), RMatrixOptions{Newton: true, NewtonMinOrder: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		rung string
+		sol  *Solution
+	}{{rungLogReduction, cold}, {rungWarm, warm}, {rungNewton, newton}} {
+		path := c.sol.Cert.Path
+		if last := path[len(path)-1]; last != c.rung+": ok" {
+			t.Fatalf("%s: accepted %q, path %v", c.rung, last, path)
+		}
+		want := matrix.SpectralRadiusUpperBound(c.sol.R, 40)
+		if got := c.sol.Cert.SpectralRadius; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: Cert.SpectralRadius = %v, tight bound %v", c.rung, got, want)
+		}
 	}
 }
 
