@@ -23,7 +23,8 @@ type ClassResult struct {
 	T float64
 	// Rho is the class utilization λ_p·g(p)/(μ_p·P).
 	Rho float64
-	// SpectralRadiusR is sp(R_p), the geometric tail decay rate.
+	// SpectralRadiusR is sp(R_p), the geometric tail decay rate, as the
+	// certificate's tight 40-squaring Gelfand bound on it.
 	SpectralRadiusR float64
 	// Effective summarizes the class's effective quantum (Theorem 4.3).
 	Effective *EffectiveQuantum
