@@ -93,8 +93,8 @@ func mulRow(ci, ai, bd []float64, bc int) {
 // axpyPanel8Go is the portable all-nonzero eight-term panel:
 // ci[j] = ci[j] + a[0]·b0[j] + … + a[7]·b7[j], where row t of the panel
 // is b[t·ldb : t·ldb+len(ci)]. The expression associates left, so it is
-// bitwise identical to eight sequential axpyRow passes; the SSE2 version
-// in kernel_panel_amd64.s performs the same per-element operation chain.
+// bitwise identical to eight sequential axpyRow passes; the AVX2 version
+// in kernel_amd64.s performs the same per-element operation chain.
 func axpyPanel8Go(ci, b []float64, ldb int, a *[8]float64) {
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 	a4, a5, a6, a7 := a[4], a[5], a[6], a[7]

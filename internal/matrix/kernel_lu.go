@@ -1,14 +1,12 @@
 package matrix
 
 // LU kernels: the elimination row update of Reset and the interleaved
-// substitution steps of InverseTo. Like the dense-panel kernels these
+// substitution steps of InverseTo. Like the dense-panel kernel these
 // are pure element-wise / lane-parallel operations — every element (or
 // every column lane) carries its own serial rounded-operation chain in
-// the same order at any vector width — so the amd64 SIMD variants are
-// bitwise identical to the Go loops below and need no opt-in: dispatch
-// is a static CPU check, not a knob. (GANG_PANEL_KERNEL only selects
-// the dense-panel multiply kernel, where the FMA variant genuinely
-// changes rounding; no such variant exists here.)
+// the same order at any vector width — so the amd64 AVX2 variants are
+// bitwise identical to the Go loops below, and dispatch is the same
+// static CPU check (kernel_amd64.go).
 
 // elimRowGo applies one elimination step of Gaussian elimination:
 // dst[j] -= m·src[j]. Element-wise, no accumulator, so vector width

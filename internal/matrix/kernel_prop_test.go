@@ -201,7 +201,7 @@ func TestAxpyPanel8MatchesGo(t *testing.T) {
 		}
 		want := append([]float64(nil), ci...)
 		axpyPanel8Go(want, b, ldb, &pa)
-		axpyPanel8(ci, b, ldb, &pa) // SSE2 on amd64, the Go loop elsewhere
+		axpyPanel8(ci, b, ldb, &pa) // AVX2 when the CPU has it, else the Go loop
 		for i := range ci {
 			if math.Float64bits(ci[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("n=%d ldb=%d: [%d] = %x, want %x", n, ldb, i,

@@ -419,76 +419,6 @@ func TestPropertyRNonNegative(t *testing.T) {
 	}
 }
 
-func TestGMatrixMM1(t *testing.T) {
-	// Stable M/M/1: first passage down is certain, G = [1]; the busy
-	// period mean is 1/(μ−λ).
-	p := mm1(1, 2)
-	g, err := GMatrix(p.A0.Dense(), p.A1.Dense(), p.A2.Dense(), RMatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(g.At(0, 0), 1, 1e-10) {
-		t.Fatalf("G = %g, want 1", g.At(0, 0))
-	}
-	if res := ResidualG(g, p.A0.Dense(), p.A1.Dense(), p.A2.Dense()); res > 1e-9 {
-		t.Fatalf("G residual %g", res)
-	}
-	m, err := MeanFirstPassageDown(p.A0.Dense(), p.A1.Dense(), p.A2.Dense(), RMatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(m[0], 1, 1e-9) { // 1/(2−1)
-		t.Fatalf("busy period %g, want 1", m[0])
-	}
-}
-
-func TestGMatrixStochasticWhenStable(t *testing.T) {
-	// For a positive-recurrent QBD, G is stochastic (down-passage certain).
-	p := mErlang2_1(0.7, 1)
-	g, err := GMatrix(p.A0.Dense(), p.A1.Dense(), p.A2.Dense(), RMatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range g.RowSums() {
-		if !almostEq(s, 1, 1e-9) {
-			t.Fatalf("G row %d sums to %g", i, s)
-		}
-	}
-	if res := ResidualG(g, p.A0.Dense(), p.A1.Dense(), p.A2.Dense()); res > 1e-8 {
-		t.Fatalf("G residual %g", res)
-	}
-}
-
-func TestGMatrixSubstochasticWhenUnstable(t *testing.T) {
-	// Transient downward passage: G row sums < 1.
-	p := mm1(3, 2)
-	g, err := GMatrix(p.A0.Dense(), p.A1.Dense(), p.A2.Dense(), RMatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.At(0, 0) >= 1-1e-9 {
-		t.Fatalf("G = %g, want < 1 for an unstable queue (= μ/λ = 2/3)", g.At(0, 0))
-	}
-	if !almostEq(g.At(0, 0), 2.0/3, 1e-8) {
-		t.Fatalf("G = %g, want 2/3", g.At(0, 0))
-	}
-}
-
-func TestMeanFirstPassageMErlang(t *testing.T) {
-	// M/E₂/1 busy period mean is E[S]/(1−ρ) regardless of service shape
-	// (started by one job): 1/(1·(1−0.7)) = 10/3.
-	p := mErlang2_1(0.7, 1)
-	m, err := MeanFirstPassageDown(p.A0.Dense(), p.A1.Dense(), p.A2.Dense(), RMatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weight by the fresh-service initial phase (phase 0 of Erlang-2).
-	want := 1.0 / (1 - 0.7)
-	if !almostEq(m[0], want, 1e-8) {
-		t.Fatalf("busy period from fresh job = %g, want %g", m[0], want)
-	}
-}
-
 func TestWeightedMeanMatchesMeanLevel(t *testing.T) {
 	// With boundary weights = level index, repeatBase = b, slope = 1,
 	// WeightedMean must reproduce MeanLevel exactly.
@@ -579,13 +509,6 @@ func TestWeightedMeanPanicsOnShape(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestMeanFirstPassageUnstableErrors(t *testing.T) {
-	p := mm1(3, 2) // unstable: passage down not certain
-	if _, err := MeanFirstPassageDown(p.A0.Dense(), p.A1.Dense(), p.A2.Dense(), RMatrixOptions{}); err == nil {
-		t.Fatal("expected divergence error for an unstable queue")
 	}
 }
 

@@ -680,37 +680,9 @@ func successiveSubstitution(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dens
 	return nil, opts.MaxIter, matrix.ErrNoConverge
 }
 
-// GMatrix computes the minimal non-negative solution of
-// A₂ + A₁·G + A₀·G² = 0: entry (i, j) is the probability that, starting
-// in phase i of level n+1, the process first enters level n in phase j.
-// G is the first-passage dual of R and the key to busy-period analysis.
-func GMatrix(a0, a1, a2 *matrix.Dense, opts RMatrixOptions) (*matrix.Dense, error) {
-	opts = opts.withDefaults()
-	n := a1.Rows()
-	if n == 0 {
-		return matrix.New(0, 0), nil
-	}
-	ws := opts.workspace()
-	id := ws.Get(n, n).SetIdentity()
-	b0, d1, b2, release := uniformizeOps(ws, matrix.Op(a0), matrix.Op(a1), matrix.Op(a2), uniformizeMargin)
-	g, _, err := logReductionG(id, b0, d1, b2, ws, opts)
-	if err != nil || !gOK(g) {
-		// Functional iteration G ← D₂ + D₁G + D₀G², monotone from 0 and
-		// robust for transient (substochastic-G) chains where logarithmic
-		// reduction can degenerate or produce NaNs. On a double failure the
-		// joined error reports why each rung died.
-		var err2 error
-		g, _, err2 = functionalIterationG(b0, d1, b2, ws, opts)
-		err = errors.Join(err, err2)
-		if err2 == nil {
-			err = nil
-		}
-	}
-	ws.Put(id)
-	release()
-	return g, err
-}
-
+// functionalIterationG iterates G ← D₂ + D₁·G + D₀·G² from G = 0:
+// monotone, and robust for transient (substochastic-G) chains where
+// logarithmic reduction can degenerate or produce NaNs.
 func functionalIterationG(b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
 	n := d1.Rows()
 	g := matrix.New(n, n) // freshly allocated: G escapes on success
@@ -737,60 +709,6 @@ func functionalIterationG(b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp
 	}
 	cleanup()
 	return nil, opts.MaxIter * 100, matrix.ErrNoConverge
-}
-
-func gOK(g *matrix.Dense) bool {
-	if g == nil {
-		return false
-	}
-	for i := 0; i < g.Rows(); i++ {
-		for j := 0; j < g.Cols(); j++ {
-			v := g.At(i, j)
-			if math.IsNaN(v) || v < -1e-9 || v > 1+1e-9 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// MeanFirstPassageDown returns, per starting phase of level n+1, the mean
-// time to first reach level n — the QBD busy period. First-step analysis
-// gives (−A₁ − A₀·(I+G))·m = e: an A₀ excursion must first return to the
-// starting level (mean m per phase, routed by G) and then still complete
-// the passage. For M/M/1 this is the classical E[B] = 1/(μ−λ).
-func MeanFirstPassageDown(a0, a1, a2 *matrix.Dense, opts RMatrixOptions) ([]float64, error) {
-	g, err := GMatrix(a0, a1, a2, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Substochastic G means downward passage is not certain (transient
-	// drift): the mean passage time is infinite.
-	for i, s := range g.RowSums() {
-		if s < 1-1e-6 {
-			return nil, fmt.Errorf("qbd: first passage from phase %d not certain (G row sum %g)", i, s)
-		}
-	}
-	n := a1.Rows()
-	u := matrix.Scaled(-1, matrix.Sum(a1, matrix.Mul(a0, matrix.Sum(matrix.Identity(n), g))))
-	f, err := matrix.Factorize(u)
-	if err != nil {
-		return nil, fmt.Errorf("qbd: passage matrix singular (not positive recurrent?): %w", err)
-	}
-	m := f.SolveVec(matrix.Ones(n))
-	for _, v := range m {
-		if v < 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("qbd: first passage time diverges (not positive recurrent)")
-		}
-	}
-	return m, nil
-}
-
-// ResidualG returns ‖A₂ + A₁·G + A₀·G²‖_∞.
-func ResidualG(g, a0, a1, a2 *matrix.Dense) float64 {
-	res := matrix.Sum(a2, matrix.Mul(a1, g))
-	res = matrix.Sum(res, matrix.Mul(a0, matrix.Mul(g, g)))
-	return res.InfNorm()
 }
 
 // ResidualR returns ‖A₀ + R·A₁ + R²·A₂‖_∞, a correctness check on R

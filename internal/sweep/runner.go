@@ -191,7 +191,7 @@ type Manifest struct {
 	// repair (quarantined records, torn-tail bytes, legacy records).
 	// Omitted for healthy caches, so their manifests are unchanged.
 	CacheRecovery *CacheRecovery `json:"cacheRecovery,omitempty"`
-	PerTrial []TrialStatus  `json:"perTrial"`
+	PerTrial      []TrialStatus  `json:"perTrial"`
 }
 
 // Run is a completed (possibly partially, when canceled) sweep.

@@ -201,22 +201,19 @@ END {
         printf ",\n  \"serve_warm_speedup_vs_cold\": %.2f", scold / swarm
     if (swarm > 0 && shit > 0)
         printf ",\n  \"serve_cachehit_speedup_vs_warm\": %.2f", swarm / shit
-    sse2 = top["PanelKernel/n48/sse2", "ns_per_op"]
+    gopanel = top["PanelKernel/n48/go", "ns_per_op"]
     avx2 = top["PanelKernel/n48/avx2", "ns_per_op"]
-    if (sse2 > 0 && avx2 > 0)
-        printf ",\n  \"avx2_speedup_vs_sse2_n48\": %.2f", sse2 / avx2
-    sse2 = top["PanelKernel/n120/sse2", "ns_per_op"]
+    if (gopanel > 0 && avx2 > 0)
+        printf ",\n  \"avx2_speedup_vs_go_n48\": %.2f", gopanel / avx2
+    gopanel = top["PanelKernel/n120/go", "ns_per_op"]
     avx2 = top["PanelKernel/n120/avx2", "ns_per_op"]
-    fma = top["PanelKernel/n120/fma", "ns_per_op"]
-    if (sse2 > 0 && avx2 > 0)
-        printf ",\n  \"avx2_speedup_vs_sse2_n120\": %.2f", sse2 / avx2
-    if (avx2 > 0 && fma > 0)
-        printf ",\n  \"fma_speedup_vs_avx2_n120\": %.2f", avx2 / fma
+    if (gopanel > 0 && avx2 > 0)
+        printf ",\n  \"avx2_speedup_vs_go_n120\": %.2f", gopanel / avx2
     if (nscale > 0) {
         if (cpus > 1)
-            printf ",\n  \"note\": \"multi-core scaling matrix at GOMAXPROCS 1/2/4/8 (scaling_vs_1cpu: time@1cpu over time@Ncpu) plus the panel-kernel A/B; the fma row is the opt-in fused kernel, excluded from bitwise pins\""
+            printf ",\n  \"note\": \"multi-core scaling matrix at GOMAXPROCS 1/2/4/8 (scaling_vs_1cpu: time@1cpu over time@Ncpu) plus the panel-kernel A/B (avx2 vs the pure-Go loop)\""
         else
-            printf ",\n  \"note\": \"recorded on a 1-CPU machine: the GOMAXPROCS rows are honest negatives (flat, ~1.0 scaling — one core cannot scale) kept so a multi-core recorder shows real gains against the same format; the panel-kernel A/B (avx2 vs sse2 vs go) measures real SIMD speedups even on one core; fma is the opt-in fused kernel, excluded from bitwise pins\""
+            printf ",\n  \"note\": \"recorded on a 1-CPU machine: the GOMAXPROCS rows are honest negatives (flat, ~1.0 scaling — one core cannot scale) kept so a multi-core recorder shows real gains against the same format; the panel-kernel A/B (avx2 vs the pure-Go loop) measures real SIMD speedups even on one core\""
     }
     else if (serial > 0)
         printf ",\n  \"note\": \"64-trial analytic grid; parallel speedup (emitted only on multi-core runs) tracks the recording machine's core count, warm-cache speedup is the content-addressed cache fast path with zero solver calls\""
