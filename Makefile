@@ -71,12 +71,15 @@ chaos-short:
 # Newton attempt must fall through to the classical rungs, never leak
 # NaN), 30 seconds of random request bodies must never crash the
 # daemon's decoder or produce an untyped rejection (every decode error
-# must map to a 400), and 30 seconds of arbitrary cache.jsonl bytes must
+# must map to a 400), 30 seconds of arbitrary cache.jsonl bytes must
 # never break recovery-on-open (no panic, no open error, and the
-# repaired file must reopen pristine).
+# repaired file must reopen pristine), and 30 seconds of random band
+# matrices (order, bandwidths, entries) must leave matrix.BandLU bitwise
+# equal to the dense LU, with the same singular verdict.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzRMatrixCertify -fuzztime 30s ./internal/certify/
 	$(GO) test -run '^$$' -fuzz FuzzRMatrixNewton -fuzztime 30s ./internal/certify/
+	$(GO) test -run '^$$' -fuzz FuzzBandLU -fuzztime 30s ./internal/matrix/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSolveRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzCacheRecovery -fuzztime 30s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioCorpus -fuzztime 30s ./internal/xcheck/

@@ -143,9 +143,9 @@ func TestPropertyRandomModelsSolveConsistently(t *testing.T) {
 }
 
 // TestPropertyExactEffectiveQuantumMomentsAgree verifies that the exact
-// truncated PH representation of the effective quantum — the dense
-// (ξ, T) the extraction factorizes — reports the same moments as the
-// absorbing-chain computation it came from.
+// truncated PH representation of the effective quantum — (ξ, T), with T
+// read back densely from the band the extraction factorizes — reports
+// the same moments as the absorbing-chain computation it came from.
 func TestPropertyExactEffectiveQuantumMomentsAgree(t *testing.T) {
 	opts := SolveOptions{}.withDefaults()
 	f := func(seed int64) bool {
@@ -157,9 +157,16 @@ func TestPropertyExactEffectiveQuantumMomentsAgree(t *testing.T) {
 		}
 		for _, cr := range res.Classes {
 			eq := cr.Effective
-			s, alpha, _, err := cr.chain.absorbingChain(cr.Solution, opts.TailEps, opts.TruncationCap, &quantumScratch{})
+			var sc quantumScratch
+			alpha, _, err := cr.chain.absorbingChain(cr.Solution, opts.TailEps, opts.TruncationCap, &sc)
 			if err != nil {
 				return false
+			}
+			s := matrix.New(len(alpha), len(alpha))
+			for i := range alpha {
+				for j := range alpha {
+					s.Set(i, j, -sc.band.At(i, j))
+				}
 			}
 			exact := &phase.Dist{Alpha: alpha, S: s}
 			// exact.Mean() is the conditional-on-start mean weighted by

@@ -59,26 +59,27 @@ func (e *EffectiveQuantum) ConditionalSCV() float64 {
 // tail mass drops below tailEps (clamped to [boundary+2, boundary+cap]);
 // arrivals at the truncation level are reflected.
 //
-// The subgenerator, factorized in its own storage, and the solve vectors
-// live in the chain's grow-only scratch, so repeated extractions from
-// one chain allocate only when the truncation depth exceeds every
-// earlier one.
+// The subgenerator is a band — a level connects only to the one below
+// and to the levels a batch can reach — so −Q_b^p is assembled,
+// factorized and solved in band storage (matrix.BandLU): with nt
+// service states and bandwidths p below and q above the diagonal (see
+// absorbingChain), elimination costs O(nt·p·(p+q)) and storage
+// O(nt·(p+q)), where a dense LU costs O(nt²·p) and nt², with bitwise
+// the dense LU's answers. The band, the vectors and the stationary-level
+// buffer live in the chain's grow-only scratch: it grows only when the
+// truncation depth exceeds every earlier one, and a repeat extraction
+// from one chain and solution allocates only its result.
 func ExtractEffectiveQuantum(ch *ClassChain, sol *qbd.Solution, tailEps float64, cap int) (*EffectiveQuantum, error) {
 	sc := &ch.quantum
-	t, init, atom, err := ch.absorbingChain(sol, tailEps, cap, sc)
+	init, atom, err := ch.absorbingChain(sol, tailEps, cap, sc)
 	if err != nil {
 		return nil, err
 	}
 	nt := len(init)
 
 	// Absorption moments E[τⁱ] = i!·ξ·(−T)⁻ⁱ·e, the same computation as
-	// markov.AbsorbingChain on the subgenerator negated and factorized in
-	// place.
-	matrix.ScaledTo(t, -1, t)
-	if sc.lu == nil {
-		sc.lu = new(matrix.LU)
-	}
-	if err := sc.lu.ResetInPlace(t); err != nil {
+	// markov.AbsorbingChain on the negated subgenerator.
+	if err := sc.band.Factorize(); err != nil {
 		return nil, fmt.Errorf("core: effective-quantum chain: transient states cannot all reach absorption: %w", err)
 	}
 	x, y := growVec(&sc.x, nt), growVec(&sc.y, nt)
@@ -88,7 +89,7 @@ func ExtractEffectiveQuantum(ch *ClassChain, sol *qbd.Solution, tailEps float64,
 	var ms [3]float64
 	fact := 1.0
 	for i := 1; i <= len(ms); i++ {
-		sc.lu.SolveVecTo(y, x)
+		sc.band.SolveVecTo(y, x)
 		x, y = y, x
 		fact *= float64(i)
 		ms[i-1] = fact * matrix.Dot(init, x)
@@ -99,11 +100,14 @@ func ExtractEffectiveQuantum(ch *ClassChain, sol *qbd.Solution, tailEps float64,
 // quantumScratch is a chain's effective-quantum extraction scratch. Each
 // buffer only grows, and is re-sliced to the order of the current
 // truncation, so a long-lived session holds one set per class whatever
-// truncation depths its solves reach.
+// truncation depths its solves reach. The band is held by pointer: a
+// rebuilt chain takes over its predecessor's scratch by copying this
+// struct, and the two must not end up with diverging copies of the
+// band's slice headers.
 type quantumScratch struct {
-	t          *matrix.Dense
-	lu         *matrix.LU // factorizes t in t's storage
+	band       *matrix.BandLU // −T, assembled and factorized in place
 	init, x, y []float64
+	level      []float64 // the stationary level the ξ loop reads
 }
 
 // growVec re-slices *buf to length n, reallocating only when it is too
@@ -118,16 +122,20 @@ func growVec(buf *[]float64, n int) []float64 {
 }
 
 // absorbingChain assembles the Theorem 4.3 absorbing chain in sc: the
-// service-state subgenerator T and the start-of-quantum vector ξ over
-// levels 1..k, where k is the truncation depth chosen from tailEps and
-// cap (non-positive means 1e-10 and 400), plus the atom at zero. T and ξ
-// alias sc and are overwritten by the next call.
+// negated service-state subgenerator −T in sc.band and the
+// start-of-quantum vector ξ over levels 1..k, where k is the truncation
+// depth chosen from tailEps and cap (non-positive means 1e-10 and 400),
+// plus the atom at zero. ξ aliases sc and both are overwritten by the
+// next call.
 //
 // Service states are numbered level by level in state order: the one
 // with index idx at level l sits at serviceOffset(l) + (idx/(MG+NF))·MG
 // + idx mod (MG+NF), because k is the fastest coordinate of the state
-// index and the quantum phases come first.
-func (ch *ClassChain) absorbingChain(sol *qbd.Solution, tailEps float64, cap int, sc *quantumScratch) (*matrix.Dense, []float64, float64, error) {
+// index and the quantum phases come first. A transition moves at most
+// one level down or maxBatch levels up, so with w service states in the
+// widest level −T has lower bandwidth 2w−1 and upper bandwidth
+// (maxBatch+1)·w−1.
+func (ch *ClassChain) absorbingChain(sol *qbd.Solution, tailEps float64, cap int, sc *quantumScratch) ([]float64, float64, error) {
 	if tailEps <= 0 {
 		tailEps = 1e-10
 	}
@@ -146,17 +154,22 @@ func (ch *ClassChain) absorbingChain(sol *qbd.Solution, tailEps float64, cap int
 	}
 	nt := sp.serviceOffset(k + 1)
 	if nt == 0 {
-		return nil, nil, 0, fmt.Errorf("core: class has no service states (quantum of order 0?)")
+		return nil, 0, fmt.Errorf("core: class has no service states (quantum of order 0?)")
 	}
-	if sc.t == nil {
-		sc.t = new(matrix.Dense)
+	if sc.band == nil {
+		sc.band = new(matrix.BandLU)
 	}
-	t := sc.t.Resize(nt, nt)
+	width := sp.serviceOffset(b+1) - sp.serviceOffset(b) // the repeating level is the widest
+	band := sc.band
+	band.Reset(nt, 2*width-1, (sp.maxBatch+1)*width-1)
 
-	// Build the subgenerator T: transitions between service states keep
-	// their rates; everything else is absorption. Transitions up from the
+	// Build −T: transitions between service states keep their rates,
+	// negated; everything else is absorption. Transitions up from the
 	// truncation level are reflected (dropped without entering the
-	// diagonal), the standard finite-buffer truncation.
+	// diagonal), the standard finite-buffer truncation. Adding −rate
+	// rounds to exactly the negation of adding rate, so −T holds
+	// bitwise the negated entries of T (up to the sign of zeros, which
+	// never reaches a solution).
 	row := 0
 	for lev := 1; lev <= k; lev++ {
 		for _, st := range sp.levels[min(lev, b)] {
@@ -175,14 +188,14 @@ func (ch *ClassChain) absorbingChain(sol *qbd.Solution, tailEps float64, cap int
 				if destLevel >= 1 && sp.inQuantum(dest.k) {
 					col := pos(destLevel, sp.stateIndex(destLevel, dest))
 					if col != row {
-						t.Add(row, col, rate)
+						band.Add(row, col, -rate)
 					} else {
 						total -= rate // self-transition: no effect
 					}
 				}
 				// Otherwise the transition leaves the service set: absorption.
 			})
-			t.Add(row, row, -total)
+			band.Add(row, row, total)
 			row++
 		}
 	}
@@ -193,7 +206,7 @@ func (ch *ClassChain) absorbingChain(sol *qbd.Solution, tailEps float64, cap int
 	var atomW, totalW float64
 	alphaG := sp.quantum.Alpha
 	for lev := 0; lev <= k; lev++ {
-		pi := ch.PhysicalLevel(sol, lev)
+		pi := ch.physicalLevelTo(&sc.level, sol, lev)
 		for idx, st := range sp.levels[min(lev, b)] {
 			if sp.inQuantum(st.k) {
 				continue
@@ -216,10 +229,10 @@ func (ch *ClassChain) absorbingChain(sol *qbd.Solution, tailEps float64, cap int
 		}
 	}
 	if totalW <= 0 {
-		return nil, nil, 0, fmt.Errorf("core: no intervisit endings observed in steady state")
+		return nil, 0, fmt.Errorf("core: no intervisit endings observed in steady state")
 	}
 	matrix.ScaleVec(1/totalW, init)
-	return t, init, atomW / totalW, nil
+	return init, atomW / totalW, nil
 }
 
 // ReducedDist returns a small-order phase-type stand-in for the effective

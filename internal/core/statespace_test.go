@@ -148,9 +148,8 @@ func TestRefillEmissionAllocatesNothing(t *testing.T) {
 // moving the effective-quantum truncation depth across several orders
 // while every chain keeps the structures its first solve built (the
 // reduced quanta keep their orders below λ ≈ 0.45). The extraction keeps
-// one grow-only matrix and LU per class on its chain, so the session
-// arena must hold no more buffers after the walk than after the first
-// solve.
+// one grow-only band LU per class on its chain, so the session arena
+// must hold no more buffers after the walk than after the first solve.
 func TestSessionExtractionScratchBounded(t *testing.T) {
 	s, err := NewSession(SolveOptions{Parallel: 1})
 	if err != nil {
@@ -175,7 +174,7 @@ func TestSessionExtractionScratchBounded(t *testing.T) {
 			t.Fatalf("lambda %g: %v", lambda, err)
 		}
 		for p, st := range s.classes {
-			if st.chain.quantum.t == nil || st.chain.quantum.lu == nil {
+			if st.chain.quantum.band == nil {
 				t.Fatalf("lambda %g: class %d keeps no extraction scratch on its chain", lambda, p)
 			}
 		}

@@ -222,18 +222,9 @@ func (m *Dense) Zero() {
 	clear(m.data)
 }
 
-// Resize reshapes m into a zeroed rows×cols matrix and returns it. The
-// storage is reused whenever its capacity suffices, so a scratch matrix
-// whose shape varies between uses allocates only when it outgrows every
-// earlier shape.
-func (m *Dense) Resize(rows, cols int) *Dense {
-	m.reshape(rows, cols)
-	clear(m.data)
-	return m
-}
-
-// reshape is Resize without the clear, for callers that overwrite every
-// element.
+// reshape makes m a rows×cols matrix with unspecified contents, reusing
+// the storage whenever its capacity suffices, for callers that
+// overwrite every element.
 func (m *Dense) reshape(rows, cols int) {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("matrix: negative dimension %dx%d", rows, cols))

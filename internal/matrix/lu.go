@@ -66,18 +66,6 @@ func (f *LU) Reset(a *Dense) error {
 	return f.factorize()
 }
 
-// ResetInPlace is Reset without the copy: f factorizes a's own storage,
-// overwriting a with the packed factors, and solves from it until its
-// next reset, so a must stay untouched meanwhile (a later Reset copies
-// into that same storage). The factors are bitwise those of Reset.
-func (f *LU) ResetInPlace(a *Dense) error {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("matrix: LU.ResetInPlace of non-square %dx%d", a.rows, a.cols))
-	}
-	f.lu = a
-	return f.factorize()
-}
-
 // factorize runs the pivoted elimination on f.lu in place, first sizing
 // the pivot buffer to its order.
 func (f *LU) factorize() error {

@@ -193,38 +193,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-// TestLUResetInPlaceMatchesReset pins the in-place factorization to the
-// copying one bit for bit, on one shell reused across growing and
-// shrinking orders, and checks it leaves the factors in a's storage.
-func TestLUResetInPlaceMatchesReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var inPlace LU
-	buf := new(Dense)
-	for _, n := range []int{5, 17, 3, 24, 1, 9} {
-		a := randDense(rng, n, n, 1.0)
-		for i := 0; i < n; i++ { // diagonally dominate so both succeed
-			a.Set(i, i, a.At(i, i)+float64(n)+1)
-		}
-		want, err := Factorize(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Resize(n, n).CopyFrom(a)
-		if err := inPlace.ResetInPlace(buf); err != nil {
-			t.Fatal(err)
-		}
-		bitwiseEqual(t, "in-place factors", buf, want.lu)
-		rhs := a.Row(0)
-		got, exp := make([]float64, n), want.SolveVec(rhs)
-		inPlace.SolveVecTo(got, rhs)
-		for i := range exp {
-			if math.Float64bits(got[i]) != math.Float64bits(exp[i]) {
-				t.Fatalf("n=%d: SolveVecTo[%d] = %v, want %v", n, i, got[i], exp[i])
-			}
-		}
-	}
-}
-
 func TestLUDet(t *testing.T) {
 	a := NewFromRows([][]float64{{3, 8}, {4, 6}})
 	f, err := Factorize(a)

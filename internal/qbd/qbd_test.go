@@ -305,6 +305,33 @@ func TestLevelBeyondBoundary(t *testing.T) {
 	}
 }
 
+// TestLevelToCopiesWithoutAllocating pins LevelTo to Level's values on
+// boundary and repeating levels, and at zero allocations once the level
+// is memoized; Level itself keeps returning a fresh copy.
+func TestLevelToCopiesWithoutAllocating(t *testing.T) {
+	sol, err := Solve(mErlang2_1(0.6, 1), RMatrixOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, 4} {
+		want := sol.Level(i)
+		got := sol.LevelTo(make([]float64, len(want)), i)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("LevelTo(%d)[%d] = %v, Level gives %v", i, j, got[j], want[j])
+			}
+		}
+		want[0] = -1
+		if again := sol.Level(i); again[0] == -1 {
+			t.Fatalf("Level(%d) shares its storage with an earlier copy", i)
+		}
+	}
+	dst := make([]float64, 2)
+	if n := testing.AllocsPerRun(20, func() { sol.LevelTo(dst, 4) }); n != 0 {
+		t.Fatalf("LevelTo on a memoized level: %v allocs/op, want 0", n)
+	}
+}
+
 func TestSpectralRadiusR(t *testing.T) {
 	sol, err := Solve(mm1(1, 2), RMatrixOptions{})
 	if err != nil {

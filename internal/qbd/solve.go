@@ -256,13 +256,29 @@ func (s *Solution) repeatLevel(k int) []float64 {
 	return s.levels[k]
 }
 
-// Level returns π_i for any level i ≥ 0.
+// Level returns a copy of π_i for any level i ≥ 0.
 func (s *Solution) Level(i int) []float64 {
+	return append([]float64(nil), s.level(i)...)
+}
+
+// LevelTo copies π_i into dst, which must have the level's dimension, and
+// returns dst. Once the level is memoized it allocates nothing.
+func (s *Solution) LevelTo(dst []float64, i int) []float64 {
+	v := s.level(i)
+	if len(dst) != len(v) {
+		panic(fmt.Sprintf("qbd: LevelTo level %d into %d, want %d", i, len(dst), len(v)))
+	}
+	copy(dst, v)
+	return dst
+}
+
+// level returns π_i, shared with s: callers must not mutate it.
+func (s *Solution) level(i int) []float64 {
 	b := s.Process.Boundary()
 	if i < b {
-		return append([]float64(nil), s.Boundary[i]...)
+		return s.Boundary[i]
 	}
-	return append([]float64(nil), s.repeatLevel(i-b)...)
+	return s.repeatLevel(i - b)
 }
 
 // LevelMass returns P[level = i].
