@@ -75,11 +75,17 @@ chaos-short:
 # never break recovery-on-open (no panic, no open error, and the
 # repaired file must reopen pristine), and 30 seconds of random band
 # matrices (order, bandwidths, entries) must leave matrix.BandLU bitwise
-# equal to the dense LU, with the same singular verdict.
+# equal to the dense LU, with the same singular verdict, and 30 seconds
+# of random matrices of order ≤ 8 (exact zero rows, sign flips) must
+# keep the spectral-radius bound non-NaN and, for a non-negative matrix,
+# at or above every diagonal entry and a Collatz–Wielandt lower bound
+# and above the fixed 40-squaring chain by no more than rounding; for a
+# signed matrix it must be that chain bit for bit.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzRMatrixCertify -fuzztime 30s ./internal/certify/
 	$(GO) test -run '^$$' -fuzz FuzzRMatrixNewton -fuzztime 30s ./internal/certify/
 	$(GO) test -run '^$$' -fuzz FuzzBandLU -fuzztime 30s ./internal/matrix/
+	$(GO) test -run '^$$' -fuzz FuzzSpectralBound -fuzztime 30s ./internal/matrix/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSolveRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzCacheRecovery -fuzztime 30s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioCorpus -fuzztime 30s ./internal/xcheck/

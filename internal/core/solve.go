@@ -24,7 +24,7 @@ type ClassResult struct {
 	// Rho is the class utilization λ_p·g(p)/(μ_p·P).
 	Rho float64
 	// SpectralRadiusR is sp(R_p), the geometric tail decay rate, as the
-	// certificate's tight 40-squaring Gelfand bound on it.
+	// certificate's tight upper bound on it.
 	SpectralRadiusR float64
 	// Effective summarizes the class's effective quantum (Theorem 4.3).
 	Effective *EffectiveQuantum

@@ -224,11 +224,11 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 	// ladder descends. A rung interrupted by the caller's deadline sets
 	// canceled: the ladder aborts instead of descending — every further
 	// rung would restart work the caller has already given up on.
-	// quickSpectral selects the adaptive Gelfand bound that stops as soon
-	// as sp(R) < 1 is witnessed — still rigorous, but loose; it is only
-	// ever set on the raw entry points, where the certificate is an
-	// internal acceptance gate and its SpectralRadius value is never
-	// surfaced to a caller.
+	// quickSpectral selects the spectral bound that stops as soon as
+	// sp(R) < 1 is witnessed — still rigorous, but loose; it is only ever
+	// set on the raw entry points, where the certificate is an internal
+	// acceptance gate and its SpectralRadius value is never surfaced to a
+	// caller.
 	tryWith := func(name string, tol *certify.Tolerances, quickSpectral bool, run func() (*matrix.Dense, int, error)) (*matrix.Dense, *certify.Certificate) {
 		r, it, err := run()
 		iters += it
@@ -297,9 +297,9 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 		}
 		// On the raw entry points (certTol == nil) the certificate is an
 		// internal gate whose SpectralRadius is never returned, so the
-		// stability check uses the adaptive Gelfand bound — for a
-		// comfortably stable R that is one ∞-norm instead of 40 dense
-		// squarings, which would otherwise cost as much as the rung itself.
+		// stability check stops at the first bound below 1 — for a
+		// comfortably stable R that is one ∞-norm instead of the squarings
+		// that tighten it.
 		r, cert = tryWith(rungNewton, ntol, certTol == nil, func() (*matrix.Dense, int, error) {
 			return newtonCyclicReductionR(id, b0, d1, b2, ws, opts)
 		})
@@ -396,18 +396,19 @@ func classifyRungErr(err error) error {
 
 // certifyRWS builds the R-level certificate: finiteness, the relative
 // fixed-point residual ‖A₀ + R·A₁ + R²·A₂‖∞ / (‖A₀‖∞+‖A₁‖∞+‖A₂‖∞), and
-// the Gelfand bound on sp(R). All scratch comes from ws; the arithmetic
-// matches ResidualR term for term.
+// the tight upper bound on sp(R) of matrix.SpectralRadiusUpperBoundWS.
+// All scratch comes from ws; the arithmetic matches ResidualR term for
+// term.
 func certifyRWS(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tolerances, ws *matrix.Workspace) *certify.Certificate {
 	return certifyRWSBound(r, a0, a1, a2, tol, ws, false)
 }
 
 // certifyRWSBound is certifyRWS with a choice of spectral bound. With
-// quickSpectral the SpectralRadius field is the adaptive Gelfand bound —
-// refined only far enough to witness sp(R) < 1, usually the free ‖R‖∞ —
-// instead of the tight fixed-40-squaring value. Both are rigorous upper
-// bounds, so VerifyR's stability verdict is sound either way; the quick
-// variant is reserved for certificates that never leave the ladder.
+// quickSpectral the SpectralRadius field is refined only far enough to
+// witness sp(R) < 1, usually the free ‖R‖∞, instead of until its
+// Collatz–Wielandt bracket closes. Both are rigorous upper bounds, so
+// VerifyR's stability verdict is sound either way; the quick variant is
+// reserved for certificates that never leave the ladder.
 func certifyRWSBound(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tolerances, ws *matrix.Workspace, quickSpectral bool) *certify.Certificate {
 	c := &certify.Certificate{Tol: tol, Finite: r.Finite()}
 	if !c.Finite {

@@ -19,11 +19,11 @@ type Solution struct {
 	PiB      []float64   // π_b, first repeating level
 
 	// Cert is the post-hoc validity record: fixed-point residual of R,
-	// spectral-radius bound (the tight 40-squaring Gelfand bound, so it
-	// doubles as the tail decay rate sp(R)), probability-mass and
-	// boundary-balance checks, plus the fallback path that produced R.
-	// Every Solution returned without error carries a verified
-	// certificate.
+	// spectral-radius bound (tight to rounding wherever its
+	// Collatz–Wielandt bracket closes, so it doubles as the tail decay
+	// rate sp(R)), probability-mass and boundary-balance checks, plus the
+	// fallback path that produced R. Every Solution returned without
+	// error carries a verified certificate.
 	Cert *certify.Certificate
 
 	sumR         *matrix.Dense // (I−R)⁻¹, cached
@@ -57,9 +57,9 @@ func Solve(p *Process, opts RMatrixOptions) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Gelfand bound: rigorous, and immune to the eigenvalue clustering
-	// that can stall power iteration. The ladder already computed it into
-	// the certificate (same call, same bits).
+	// matrix.SpectralRadiusUpperBoundWS: rigorous, and immune to the
+	// eigenvalue clustering that can stall power iteration. The ladder
+	// already computed it into the certificate (same call, same bits).
 	if cert.SpectralRadius >= 1 {
 		return nil, ErrUnstable
 	}
