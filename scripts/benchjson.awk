@@ -71,8 +71,9 @@
         }
     }
     # Per base name, remember the widest-GOMAXPROCS variant: the derived
-    # ratios compare benchmarks at their most parallel measurement.
-    if (!(base in topgmp) || gmp > topgmp[base]) {
+    # ratios compare benchmarks at their most parallel measurement, and
+    # at its best run, the one the benchmark's row reports.
+    if (!(base in topgmp) || gmp >= topgmp[base]) {
         topgmp[base] = gmp
         for (i = 3; i < NF; i += 2) {
             unit = $(i + 1)
