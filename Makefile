@@ -41,13 +41,16 @@ race-full:
 # per-class parallel-solve property tests and the striped-cache stress
 # with four Ps even on a 1-CPU machine, so the worker group, the
 # per-class workspace arenas and the cache stripes are raced with real
-# interleaving rather than cooperative single-P scheduling.
+# interleaving rather than cooperative single-P scheduling. perfbench is
+# a module of its own, outside ./..., so it is vetted explicitly: an API
+# change it reads must fail here, not only in the benchmark run.
 ci: build fmt vet race
 	$(GO) vet ./... && $(GO) test -race -count 1 ./internal/sweep/ ./internal/certify/ ./internal/core/ ./internal/serve/
 	GOMAXPROCS=4 $(GO) test -race -count 1 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'TestCache' ./internal/sweep/
 	GOMAXPROCS=4 $(GO) test -race -count 1 \
 		-run 'TestBlockOp|TestAdoptOp|TestKronBlock|TestCSRBlock' ./internal/matrix/
+	$(GO) -C perfbench vet .
 	$(MAKE) chaos-short
 	$(MAKE) xcheck-short
 
@@ -140,12 +143,17 @@ bench-kernel:
 # bench-pipeline regenerates the committed cold-vs-warm staged-pipeline
 # baseline (BENCH_pipeline.json): the 64-trial analytic grid on one
 # worker, solved cold and with warm-started sessions, comparing trials/s
-# and mean R-matrix iterations per QBD solve. -count 3 interleaves the
-# pair; benchjson.awk keeps each benchmark's best run, so a scheduler
-# hiccup in one repetition cannot poison the committed ratio.
+# and mean R-matrix iterations per QBD solve. Three -count 1 passes
+# interleave the pair (Cold, Warm, Cold, Warm, ...; a single -count 3
+# would run each benchmark's repetitions back to back); benchjson.awk
+# keeps each benchmark's best run, so a scheduler hiccup in one pass
+# cannot poison the committed ratio.
 bench-pipeline:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipeline' -benchmem -benchtime 2s -count 3 \
-		./internal/sweep | tee bench_pipeline.out
+	rm -f bench_pipeline.out
+	for i in 1 2 3; do \
+		$(GO) test -run '^$$' -bench 'BenchmarkPipeline' -benchmem -benchtime 2s -count 1 \
+			./internal/sweep | tee -a bench_pipeline.out; \
+	done
 	awk -f scripts/benchjson.awk bench_pipeline.out > BENCH_pipeline.json
 	rm -f bench_pipeline.out
 	cat BENCH_pipeline.json
@@ -154,11 +162,14 @@ bench-pipeline:
 # (BENCH_serve.json): full HTTP round trips through gangserved's engine
 # on the three answer paths — cold-session solve, warm-shard solve
 # (structure reuse + warm-started R), and memo cache hit (zero solver
-# calls). -count 3 interleaves them; benchjson.awk keeps each
-# benchmark's best run.
+# calls). Three -count 1 passes interleave them; benchjson.awk keeps
+# each benchmark's best run.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServeSolve' -benchmem -benchtime 1s -count 3 \
-		./internal/serve | tee bench_serve.out
+	rm -f bench_serve.out
+	for i in 1 2 3; do \
+		$(GO) test -run '^$$' -bench 'BenchmarkServeSolve' -benchmem -benchtime 1s -count 1 \
+			./internal/serve | tee -a bench_serve.out; \
+	done
 	awk -f scripts/benchjson.awk bench_serve.out > BENCH_serve.json
 	rm -f bench_serve.out
 	cat BENCH_serve.json

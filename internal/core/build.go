@@ -27,7 +27,7 @@ import (
 //   - at level 0 the intervisit period regenerates without visiting
 //     quantum phases (the scheduler skips an empty class).
 func BuildClassProcess(m *Model, p int, intervisit *phase.Dist) (*qbd.Process, *classSpace, error) {
-	proc, sp, _, err := buildClassProcess(m, p, intervisit, 0)
+	proc, sp, _, err := buildClassProcess(m, p, intervisit)
 	return proc, sp, err
 }
 
@@ -38,7 +38,7 @@ type classBlocks struct{ down, local, up *matrix.Dense }
 // buildClassProcess is BuildClassProcess plus the level-block slice the
 // assembled Process aliases, so a Session can refill the generator in
 // place on a rates-only model change.
-func buildClassProcess(m *Model, p int, intervisit *phase.Dist, maxDensity float64) (*qbd.Process, *classSpace, []classBlocks, error) {
+func buildClassProcess(m *Model, p int, intervisit *phase.Dist) (*qbd.Process, *classSpace, []classBlocks, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -75,7 +75,7 @@ func buildClassProcess(m *Model, p int, intervisit *phase.Dist, maxDensity float
 	for i := 1; i <= c; i++ {
 		proc.Down = append(proc.Down, lv[i].down)
 	}
-	if err := certifyClassProcess(proc, maxDensity); err != nil {
+	if err := certifyClassProcess(proc); err != nil {
 		return nil, nil, nil, err
 	}
 	return proc, sp, lv, nil
@@ -128,16 +128,14 @@ func fillClassBlocks(sp *classSpace, lv []classBlocks) {
 
 // certifyClassProcess runs the post-assembly checks shared by fresh
 // builds and refills: representation adoption of the arrival (A0) and
-// service-completion (A2) blocks — a handful of entries per row — so the
-// solvers run their CSR product fast path, then generator-row
-// validation. maxDensity is the adoption threshold (SolveOptions.
-// SparseMaxDensity; non-positive means matrix.DefaultAdoptMaxDensity).
-// Adoption runs first: on a refill the CSR operators still carry the
-// previous rates until Adopt resyncs them from their refilled dense
-// origins (an in-place value update when the sparsity pattern is
-// unchanged, allocating nothing).
-func certifyClassProcess(proc *qbd.Process, maxDensity float64) error {
-	proc.Adopt(maxDensity)
+// service-completion (A2) blocks — a handful of entries per row — at
+// matrix.DefaultAdoptMaxDensity, so the solvers run their CSR product
+// fast path, then generator-row validation. Adoption runs first: on a
+// refill the CSR operators still carry the previous rates until Adopt
+// resyncs them from their refilled dense origins (an in-place value
+// update when the sparsity pattern is unchanged, allocating nothing).
+func certifyClassProcess(proc *qbd.Process) error {
+	proc.Adopt(0)
 	if err := proc.Validate(1e-8); err != nil {
 		return fmt.Errorf("core: built process invalid: %w", err)
 	}

@@ -95,7 +95,9 @@ func (s *Session) Resolve(m *Model) (*Result, error) {
 }
 
 // ResolveWith is Resolve under per-call option overrides (defaults are
-// applied; the session's workspace is used unless opts names one).
+// applied; the session's workspace is used unless opts names one). Warm
+// starting is a property of the session, not of the call: opts.WarmStart
+// is replaced by the session's.
 func (s *Session) ResolveWith(m *Model, opts SolveOptions) (*Result, error) {
 	opts, err := s.override(opts)
 	if err != nil {
@@ -105,7 +107,8 @@ func (s *Session) ResolveWith(m *Model, opts SolveOptions) (*Result, error) {
 }
 
 // ResolveHeavyTraffic is SolveHeavyTraffic through the session: the
-// Theorem 4.1 initialization only, no fixed-point refinement.
+// Theorem 4.1 initialization only, no fixed-point refinement. Options
+// are overridden as in ResolveWith.
 func (s *Session) ResolveHeavyTraffic(m *Model, opts SolveOptions) (*Result, error) {
 	opts, err := s.override(opts)
 	if err != nil {
@@ -119,6 +122,7 @@ func (s *Session) override(opts SolveOptions) (SolveOptions, error) {
 		return opts, err
 	}
 	opts = opts.withDefaults()
+	opts.WarmStart = s.opts.WarmStart
 	if opts.RMatrix.Workspace == nil {
 		opts.RMatrix.Workspace = s.ws
 	}
@@ -170,7 +174,7 @@ func (s *Session) stageBuildClass(m *Model, p int, f *phase.Dist, opts SolveOpti
 			return st.chain, nil
 		}
 	}
-	ch, err := buildClassChain(m, p, f, opts.SparseMaxDensity)
+	ch, err := BuildClassChain(m, p, f)
 	if err != nil {
 		return nil, err
 	}

@@ -134,6 +134,27 @@ func TestRMatrixSuccessiveSubstitutionAgrees(t *testing.T) {
 	}
 }
 
+// TestLogarithmicReductionRAllocs: on a primed workspace the classical
+// rung allocates only the R it returns (header and backing array); G and
+// every interior buffer are workspace scratch.
+func TestLogarithmicReductionRAllocs(t *testing.T) {
+	p := mErlang2_1(0.7, 1)
+	ws := matrix.NewWorkspace()
+	n := p.RepeatDim()
+	id := ws.Get(n, n).SetIdentity()
+	b0, d1, b2, release := uniformizeOps(ws, p.A0, p.A1, p.A2, uniformizeMargin)
+	defer release()
+	opts := RMatrixOptions{}.withDefaults()
+	run := func() {
+		if _, _, err := logarithmicReductionR(id, b0, d1, b2, ws, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(10, run); got != 2 {
+		t.Fatalf("%v allocations per call, want 2 (the returned R)", got)
+	}
+}
+
 func TestDriftMM1(t *testing.T) {
 	up, down, err := mm1(1, 2).Drift()
 	if err != nil {

@@ -485,9 +485,9 @@ func uniformizeOps(ws *matrix.Workspace, a0, a1, a2 matrix.BlockOp, margin float
 }
 
 // logReductionG is the Latouche–Ramaswami iteration: quadratic convergence
-// in the number of levels explored (level 2ᵏ after k steps). It returns a
-// fresh copy of G (first-passage to the level below) plus the iteration
-// count; all interior scratch comes from ws.
+// in the number of levels explored (level 2ᵏ after k steps). It returns G
+// (first-passage to the level below) plus the iteration count. G and all
+// interior scratch come from ws; the caller puts G back when done with it.
 func logReductionG(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
 	n := d1.Rows()
 	m := matrix.DiffTo(ws.Get(n, n), id, d1)
@@ -509,11 +509,12 @@ func logReductionG(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 mat
 	inv, prod := ws.Get(n, n), ws.Get(n, n)
 	h2, l2, tn := ws.Get(n, n), ws.Get(n, n), ws.Get(n, n)
 	cleanup := func() {
-		ws.Put(m, base, h, l, g, t, hl, lh, u, inv, prod, h2, l2, tn)
+		ws.Put(m, base, h, l, t, hl, lh, u, inv, prod, h2, l2, tn)
 		ws.PutLU(lu)
 	}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		if err := iterTick(&opts, iter); err != nil {
+			ws.Put(g)
 			cleanup()
 			return nil, iter, err
 		}
@@ -522,6 +523,7 @@ func logReductionG(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 mat
 		matrix.AddTo(u, hl, lh)
 		matrix.DiffTo(m, id, u)
 		if err := lu.Reset(m); err != nil {
+			ws.Put(g)
 			cleanup()
 			return nil, iter, fmt.Errorf("qbd: logarithmic reduction stalled: %w", err)
 		}
@@ -537,11 +539,11 @@ func logReductionG(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 mat
 		h, h2 = h2, h
 		l, l2 = l2, l
 		if t.MaxAbs() < opts.Tol {
-			out := g.Clone()
 			cleanup()
-			return out, iter + 1, nil
+			return g, iter + 1, nil
 		}
 	}
+	ws.Put(g)
 	cleanup()
 	return nil, opts.MaxIter, matrix.ErrNoConverge
 }
@@ -554,6 +556,7 @@ func logarithmicReductionR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense
 		return nil, iters, err
 	}
 	r, err := rFromG(id, b0, d1, g, ws, false)
+	ws.Put(g)
 	return r, iters, err
 }
 

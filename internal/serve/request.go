@@ -173,6 +173,10 @@ type SolveResponse struct {
 	// solves, R iterations.
 	Counters      core.Counters `json:"counters"`
 	ElapsedMillis int64         `json:"elapsedMillis"`
+
+	// values is the solve's sweep-cache value map, what the disk tier
+	// stores for a cold answer; nil for a rehydrated one.
+	values map[string]float64
 }
 
 // SweepResponse is the wire format of a served sweep.

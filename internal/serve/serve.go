@@ -259,7 +259,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	trial := req.trial()
 	key := trial.Key()
 
-	if cached, tier, ok := s.store.get(key); ok {
+	if cached, tier, ok := s.store.get(key, trial.Method); ok {
 		s.met.cacheHit(tier)
 		resp := *cached // shallow copy; stored response stays immutable
 		resp.Cached, resp.CacheTier = true, tier

@@ -250,6 +250,43 @@ func TestDiskCacheSharedWithSweep(t *testing.T) {
 	}
 }
 
+// TestDiskCacheSharedWithSweepHeavy is the heavy-traffic twin of
+// TestDiskCacheSharedWithSweep: a disk hit for a heavy request answers
+// with the sweep's heavy values and says "method":"heavy".
+func TestDiskCacheSharedWithSweepHeavy(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trial := sweep.Trial{Scenario: testScenario(0.55), Method: sweep.MethodHeavy}
+	run, err := sweep.RunTrials(context.Background(), []sweep.Trial{trial}, sweep.Options{
+		Workers: 1, Cache: cache,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, hs := newTestServer(t, Config{CacheDir: dir})
+	before := s.met.trialSolves.Load()
+	code, resp := solve(t, hs, SolveRequest{Scenario: testScenario(0.55), Method: sweep.MethodHeavy})
+	if code != http.StatusOK || !resp.Cached || resp.CacheTier != "disk" {
+		t.Fatalf("want disk hit, got code %d resp %+v", code, resp)
+	}
+	if resp.Method != sweep.MethodHeavy {
+		t.Fatalf("disk hit for a heavy request reports method %q", resp.Method)
+	}
+	if want := run.Results[0].Values["N0"]; resp.Classes[0].N != want {
+		t.Fatalf("rehydrated N %v, sweep recorded %v", resp.Classes[0].N, want)
+	}
+	if got := s.met.trialSolves.Load() - before; got != 0 {
+		t.Fatalf("disk hit made %d shard solves", got)
+	}
+}
+
 func TestAdmissionControl(t *testing.T) {
 	s, hs := newTestServer(t, Config{Rate: 1, Burst: 2})
 	t0 := time.Now()
@@ -340,6 +377,36 @@ func TestDegradedOptIn(t *testing.T) {
 		t.Fatalf("sim fallback should replace only the failed class: %+v", resp.Classes)
 	}
 	faultinject.Reset()
+}
+
+// TestDegradedExhaustedBudgetIs422: "converged" is the fixed point's
+// verdict, so a degraded answer whose fixed point ran out of budget
+// ships its body under 422, not 200, and is not memoized.
+func TestDegradedExhaustedBudgetIs422(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Arm("core.class", func(payload any) error {
+		if p, ok := payload.(int); ok && p == 0 {
+			return &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "test"}
+		}
+		return nil
+	})
+	req := SolveRequest{
+		Scenario: sweep.Scenario{Processors: 2, Classes: []sweep.ClassSpec{
+			{Partition: 1, Lambda: 0.3, Mu: 1, QuantumMean: 1, OverheadMean: 0.01},
+			{Partition: 2, Lambda: 0.2, Mu: 1, QuantumMean: 1, OverheadMean: 0.01},
+		}},
+		Solve:         sweep.SolveParams{MaxIterations: 1},
+		AllowDegraded: true,
+	}
+	s, hs := newTestServer(t, Config{AllowDegraded: true})
+	code, resp := solve(t, hs, req)
+	if code != http.StatusUnprocessableEntity || resp.Converged || !resp.Degraded {
+		t.Fatalf("status %d, converged %v, degraded %v; want 422, false, true",
+			code, resp.Converged, resp.Degraded)
+	}
+	if n := s.store.memoLen(); n != 0 {
+		t.Fatalf("memo holds %d answers, want none", n)
+	}
 }
 
 func TestRequestRejections(t *testing.T) {

@@ -12,8 +12,6 @@ import (
 	"repro/internal/certify"
 	"repro/internal/certify/faultinject"
 	"repro/internal/core"
-	"repro/internal/qbd"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -173,9 +171,14 @@ func runTask(p *pool, sh *shard, tk *task) taskResult {
 	return taskResult{resp: resp, err: err}
 }
 
-// solveShielded is solveTrial behind a recover barrier, plus the
-// "serve.task" fault-injection point chaos tests use to panic or fail a
-// shard on demand.
+// solveShielded runs one request on the shard's session behind a
+// recover barrier, plus the "serve.task" fault-injection point chaos
+// tests use to panic or fail a shard on demand. The solve is a sweep
+// trial's single, final attempt (sweep.Exec), so served and batch
+// answers come from one code path and fail the same way; the request
+// context threads into the QBD iteration loops, so the deadline
+// interrupts a runaway solve mid-R-iteration instead of waiting for it
+// to finish.
 func solveShielded(p *pool, sh *shard, tk *task) (resp *SolveResponse, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -185,7 +188,38 @@ func solveShielded(p *pool, sh *shard, tk *task) (resp *SolveResponse, err error
 	if ferr := faultinject.Fire("serve.task", tk.trial); ferr != nil {
 		return nil, ferr
 	}
-	return solveTrial(tk.ctx, sh.session(), tk.trial, tk.allowDegraded, p.warm, p.parallel)
+	out, err := sweep.Exec(tk.trial, sweep.ExecPolicy{
+		AllowDegraded: tk.allowDegraded,
+		FinalAttempt:  true,
+		SolveParallel: p.parallel,
+		Ctx:           tk.ctx,
+	}, sh.session())
+	if err != nil {
+		return nil, err
+	}
+	return responseFromOutcome(tk.trial, out), nil
+}
+
+// responseFromOutcome shapes an executed trial as a served answer: the
+// numbers of its value map, exactly as a disk-tier hit rehydrates them,
+// plus what only a live solve has — the fixed point's verdict, each
+// class's utilization, certificate and sp(R), the typed failure of a
+// class the simulation replaced, and the pipeline counters.
+func responseFromOutcome(t sweep.Trial, out sweep.Outcome) *SolveResponse {
+	res := out.Result
+	resp := responseFromValues(t.Key(), t.Method, out.Values)
+	resp.Converged, resp.Degraded = out.Converged, out.Degraded
+	resp.Counters = res.Counters
+	resp.values = out.Values
+	for p := range resp.Classes {
+		cr, ca := &res.Classes[p], &resp.Classes[p]
+		ca.Rho, ca.Certificate, ca.SpectralRadiusR = cr.Rho, cr.Cert, cr.SpectralRadiusR
+		if cr.Err != nil {
+			ca.Degraded = true
+			ca.Error, ca.Kind = cr.Err.Error(), certify.KindLabel(cr.Err)
+		}
+	}
+	return resp
 }
 
 // failureCounts reports whether an error is evidence against the shard:
@@ -303,153 +337,4 @@ func (p *pool) close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
-}
-
-// solveTrial runs one request on a shard's session and shapes the
-// response: per-class measures with certificates, the sim fallback for
-// failed classes when the request (and server) opted in, and the solve's
-// pipeline counters. Mirrors sweep.execute's failure handling so served
-// and batch answers fail the same way. ctx is the request context: it
-// threads into the QBD iteration loops (qbd.RMatrixOptions.Ctx), so the
-// request deadline interrupts a runaway solve mid-R-iteration instead of
-// waiting for it to finish.
-func solveTrial(ctx context.Context, ses *core.Session, t sweep.Trial, allowDegraded, warm bool, parallel int) (*SolveResponse, error) {
-	m, err := t.Scenario.Model()
-	if err != nil {
-		return nil, &certify.Failure{Kind: certify.ErrConfig, Stage: "serve.model", Err: err}
-	}
-	copts := t.Solve.CoreOptions()
-	copts.WarmStart = warm
-	copts.Parallel = parallel
-	copts.RMatrix.Ctx = ctx
-	var res *core.Result
-	var serr error
-	if t.Method == sweep.MethodHeavy {
-		res, serr = ses.ResolveHeavyTraffic(m, copts)
-	} else {
-		res, serr = ses.ResolveWith(m, copts)
-	}
-	if serr != nil && !errors.Is(serr, core.ErrAllUnstable) {
-		if res == nil || len(failedClasses(res)) == 0 {
-			return nil, serr
-		}
-	}
-
-	resp := &SolveResponse{
-		Key:        t.Key(),
-		Method:     t.Method,
-		Iterations: res.Iterations,
-		MeanCycle:  res.MeanCycle,
-		Counters:   res.Counters,
-		// All-unstable is a definitive verdict, not a failed iteration:
-		// the answer ("this load admits no stationary regime") is final,
-		// so it serves as 200 with every class marked unstable.
-		Converged: res.Converged || t.Method == sweep.MethodHeavy ||
-			errors.Is(serr, core.ErrAllUnstable),
-	}
-
-	failed := failedClasses(res)
-	var simRes *sim.Result
-	if len(failed) > 0 {
-		if !allowDegraded {
-			errs := make([]error, 0, len(failed))
-			for _, p := range failed {
-				errs = append(errs, fmt.Errorf("class %d: %w", p, res.Classes[p].Err))
-			}
-			joined := errors.Join(errs...)
-			if serr != nil && !errors.Is(serr, core.ErrAllUnstable) {
-				joined = errors.Join(serr, joined)
-			}
-			return nil, joined
-		}
-		// Degradation rung: one simulation run replaces exactly the
-		// failed classes' values; healthy classes keep their certified
-		// analytic answers.
-		simRes, err = sim.RunGang(sim.Config{
-			Model: m, Warmup: defaultSimWarmup, Horizon: defaultSimHorizon,
-		})
-		if err != nil {
-			return nil, &certify.Failure{Kind: certify.ErrNumericContaminated,
-				Stage: "serve.degrade", Err: err}
-		}
-		resp.Degraded = true
-	}
-	isFailed := make(map[int]bool, len(failed))
-	for _, p := range failed {
-		isFailed[p] = true
-	}
-
-	for p := range res.Classes {
-		cr := &res.Classes[p]
-		ca := ClassAnswer{Rho: cr.Rho, Certificate: cr.Cert}
-		switch {
-		case isFailed[p]:
-			ca.Stable = true
-			ca.Degraded = true
-			ca.N = simRes.Classes[p].MeanJobs
-			ca.T = simRes.Classes[p].MeanResponse
-			ca.Error = cr.Err.Error()
-			ca.Kind = certify.KindLabel(cr.Err)
-			resp.TotalN += ca.N
-		case cr.Stable:
-			ca.Stable = true
-			ca.N, ca.T = cr.N, cr.T
-			ca.SpectralRadiusR = cr.SpectralRadiusR
-			resp.TotalN += ca.N
-		}
-		resp.Classes = append(resp.Classes, ca)
-	}
-	return resp, nil
-}
-
-// Default simulation window for the degradation rung, matching
-// internal/sweep and internal/experiments.
-const (
-	defaultSimWarmup  = 2e4
-	defaultSimHorizon = 2.2e5
-)
-
-func failedClasses(res *core.Result) []int {
-	if res == nil {
-		return nil
-	}
-	var failed []int
-	for p := range res.Classes {
-		if res.Classes[p].Err != nil {
-			failed = append(failed, p)
-		}
-	}
-	return failed
-}
-
-// values projects a response onto the sweep cache's value map, exactly
-// the shape sweep.execute records, so a served answer and a batch trial
-// are interchangeable in the shared store.
-func (r *SolveResponse) values() map[string]float64 {
-	values := make(map[string]float64, 2*len(r.Classes)+3)
-	for p, ca := range r.Classes {
-		if !ca.Stable {
-			values[fmt.Sprintf("N%d", p)] = sweep.Unstable
-			values[fmt.Sprintf("T%d", p)] = sweep.Unstable
-			continue
-		}
-		values[fmt.Sprintf("N%d", p)] = ca.N
-		values[fmt.Sprintf("T%d", p)] = ca.T
-	}
-	values["totalN"] = r.TotalN
-	values["iterations"] = float64(r.Iterations)
-	values["meanCycle"] = r.MeanCycle
-	return values
-}
-
-// warmAccepted reports whether any class certificate records an accepted
-// warm-start rung — the serving proof that same-signature requests
-// really continue from the shard's previous R.
-func (r *SolveResponse) warmAccepted() bool {
-	for _, ca := range r.Classes {
-		if ca.Certificate != nil && qbd.WarmAccepted(ca.Certificate.Path) {
-			return true
-		}
-	}
-	return false
 }

@@ -48,10 +48,11 @@ func (s *store) recovery() sweep.CacheRecovery {
 	return s.disk.Recovery()
 }
 
-// get returns a stored answer and its tier ("memo" or "disk"). The
+// get returns a stored answer and its tier ("memo" or "disk"); method is
+// the request's, which a disk-tier value map does not record. The
 // returned response is shared and must be treated as immutable; handlers
 // copy the top-level struct before stamping per-request fields.
-func (s *store) get(key string) (*SolveResponse, string, bool) {
+func (s *store) get(key string, method sweep.Method) (*SolveResponse, string, bool) {
 	s.mu.Lock()
 	resp, ok := s.memo[key]
 	s.mu.Unlock()
@@ -65,7 +66,7 @@ func (s *store) get(key string) (*SolveResponse, string, bool) {
 	if !ok {
 		return nil, "", false
 	}
-	return responseFromValues(key, values), "disk", true
+	return responseFromValues(key, method, values), "disk", true
 }
 
 // put stores a healthy answer. coldCertified additionally writes the
@@ -78,7 +79,7 @@ func (s *store) put(key string, resp *SolveResponse, coldCertified bool) error {
 	}
 	s.mu.Unlock()
 	if coldCertified && s.disk != nil {
-		return s.disk.Put(key, resp.values())
+		return s.disk.Put(key, resp.values)
 	}
 	return nil
 }
@@ -106,10 +107,10 @@ func (s *store) close() error {
 // responseFromValues rehydrates a response from the sweep cache's value
 // map. The values tier stores numbers only, so the rehydrated classes
 // carry no certificates — the response says so via CacheTier "disk".
-func responseFromValues(key string, values map[string]float64) *SolveResponse {
+func responseFromValues(key string, method sweep.Method, values map[string]float64) *SolveResponse {
 	resp := &SolveResponse{
 		Key:        key,
-		Method:     sweep.MethodAnalytic,
+		Method:     method,
 		Converged:  true,
 		Iterations: int(values["iterations"]),
 		TotalN:     values["totalN"],

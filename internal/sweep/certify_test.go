@@ -192,8 +192,8 @@ func TestWithoutAllowDegradedErrors(t *testing.T) {
 func TestValueGuardRejectsNaN(t *testing.T) {
 	orig := execute
 	defer func() { execute = orig }()
-	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (execOutcome, error) {
-		return execOutcome{values: map[string]float64{"v": math.NaN()}, converged: true}, nil
+	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
+		return Outcome{Values: map[string]float64{"v": math.NaN()}, Converged: true}, nil
 	}
 	run, err := RunTrials(context.Background(),
 		[]Trial{{Scenario: testSpec().Base, Method: MethodAnalytic}}, Options{Workers: 1})
@@ -216,8 +216,8 @@ func TestWorkerKilledMidTrial(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	orig := execute
 	defer func() { execute = orig }()
-	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (execOutcome, error) {
-		return execOutcome{values: map[string]float64{"i": tr.Point["i"]}, converged: true}, nil
+	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
+		return Outcome{Values: map[string]float64{"i": tr.Point["i"]}, Converged: true}, nil
 	}
 	faultinject.Arm("sweep.values", func(p any) error {
 		if p.(map[string]float64)["i"] == 1 {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/certify"
+	"repro/internal/certify/faultinject"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -23,7 +25,8 @@ const Unstable = -1
 // ExecPolicy tells one trial attempt how to treat per-class solver
 // failures. The runner sets FinalAttempt once the retry budget is spent,
 // at which point an attempt that would otherwise error may degrade
-// failed classes to the discrete-event simulator.
+// failed classes to the discrete-event simulator; gangserved's shards
+// always set it, since a served request gets exactly one attempt.
 type ExecPolicy struct {
 	// Strict turns every per-class failure into a trial error — no
 	// degradation, ever.
@@ -45,35 +48,70 @@ type ExecPolicy struct {
 	// Newton results (Options.Newton documents the policy).
 	Newton bool
 	// Ctx, when non-nil, threads into the analytic solver's iteration
-	// loops (qbd.RMatrixOptions.Ctx) so a canceled run interrupts a trial
-	// mid-R-iteration instead of finishing a doomed solve. Execution-level
-	// only — never part of Trial hashing or artifacts.
+	// loops (qbd.RMatrixOptions.Ctx) so a canceled run or an expired
+	// request deadline interrupts a trial mid-R-iteration instead of
+	// finishing a doomed solve. Execution-level only — never part of
+	// Trial hashing or artifacts.
 	Ctx context.Context
 }
 
-// execOutcome is one attempt's result: the named values, whether the
-// analytic fixed point converged, whether any class value came from the
-// simulation fallback instead of a certified analytic solve, and the
-// solve's pipeline counters (zero for non-analytic methods).
-type execOutcome struct {
-	values    map[string]float64
-	converged bool
-	degraded  bool
-	counters  core.Counters
+// Outcome is one attempt's result.
+type Outcome struct {
+	// Values are the trial's named values, as recorded in artifacts and
+	// the cache.
+	Values map[string]float64
+	// Converged is the fixed point's verdict. A heavy-traffic solve (one
+	// round by definition) and an all-unstable model (a final answer:
+	// the load admits no stationary regime) count as converged, and so
+	// do the simulation and exact methods.
+	Converged bool
+	// Degraded is true when some class value came from the simulation
+	// fallback instead of a certified analytic solve.
+	Degraded bool
+	// Result is the analytic solve behind the values — per-class
+	// certificates and pipeline counters — nil for other methods.
+	Result *core.Result
 }
 
-// execute runs one trial attempt. Failures are typed: configuration
-// errors (bad scenario, unknown method) are certify.ErrConfig and never
-// retried; fixed-point non-convergence is certify.ErrNotConverged and
-// retried with an escalated budget; numeric contamination is
+// Exec runs one trial attempt and guards its values: a NaN or ±Inf must
+// never reach artifacts, the cache or a served answer, whatever produced
+// it. Failures are typed: configuration errors (bad scenario, unknown
+// method) are certify.ErrConfig and never retried; fixed-point
+// non-convergence is certify.ErrNotConverged and retried with an
+// escalated budget; numeric contamination is
 // certify.ErrNumericContaminated. A non-nil ses routes analytic and
-// heavy-traffic solves through the worker's reusable session with warm
-// starts enabled; other methods ignore it. Declared as a variable so
-// tests can stub the executor.
-var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (execOutcome, error) {
+// heavy-traffic solves through the caller's reusable session, which
+// warm-starts them when it was created with WarmStart; other methods
+// ignore it. Exec does not recover panics: the sweep runner and
+// gangserved's shards each contain them their own way.
+func Exec(t Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
+	out, err := execute(t, pol, ses)
+	if err != nil {
+		return Outcome{}, err
+	}
+	// Fault-injection point: tests corrupt or panic here to prove the
+	// value guard and worker isolation hold at the last gate.
+	if ferr := faultinject.Fire("sweep.values", out.Values); ferr != nil {
+		return Outcome{}, ferr
+	}
+	for k, v := range out.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Outcome{}, &certify.Failure{
+				Kind:  certify.ErrNumericContaminated,
+				Stage: "sweep.values",
+				Err:   fmt.Errorf("value %q = %v", k, v),
+			}
+		}
+	}
+	return out, nil
+}
+
+// execute is Exec before the value guard. Declared as a variable so
+// tests can stub the solver.
+var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
 	m, err := t.Scenario.Model()
 	if err != nil {
-		return execOutcome{}, &certify.Failure{Kind: certify.ErrConfig, Stage: "sweep.model", Err: err}
+		return Outcome{}, &certify.Failure{Kind: certify.ErrConfig, Stage: "sweep.model", Err: err}
 	}
 	switch t.Method {
 	case MethodAnalytic, MethodHeavy:
@@ -92,61 +130,55 @@ var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (execOutcome, err
 		var serr error
 		switch {
 		case ses != nil && t.Method == MethodHeavy:
-			copts.WarmStart = true
 			res, serr = ses.ResolveHeavyTraffic(m, copts)
 		case ses != nil:
-			copts.WarmStart = true
 			res, serr = ses.ResolveWith(m, copts)
 		case t.Method == MethodHeavy:
 			res, serr = core.SolveHeavyTraffic(m, copts)
 		default:
 			res, serr = core.Solve(m, copts)
 		}
-		if serr != nil && !errors.Is(serr, core.ErrAllUnstable) {
-			if res == nil || len(failedClasses(res)) == 0 {
-				// Whole-solve failure with no per-class result to salvage.
-				return execOutcome{}, serr
-			}
+		allUnstable := errors.Is(serr, core.ErrAllUnstable)
+		failed := failedClasses(res)
+		if serr != nil && !allUnstable && len(failed) == 0 {
+			// Whole-solve failure with no per-class result to salvage.
+			return Outcome{}, serr
 		}
-		if failed := failedClasses(res); len(failed) > 0 {
-			ferr := serr
-			if ferr == nil || errors.Is(ferr, core.ErrAllUnstable) {
-				errs := make([]error, 0, len(failed))
-				for _, p := range failed {
-					errs = append(errs, fmt.Errorf("class %d: %w", p, res.Classes[p].Err))
-				}
-				ferr = errors.Join(errs...)
-			}
-			if pol.Strict || !pol.AllowDegraded {
-				return execOutcome{}, ferr
-			}
-			if !pol.FinalAttempt && errors.Is(ferr, certify.ErrNotConverged) {
-				// Retryable: let the runner escalate the budget first;
-				// degradation is the last rung, not the first.
-				return execOutcome{}, ferr
-			}
-			return degradeToSim(t, m, res, failed)
+		out := Outcome{Result: res,
+			Converged: res.Converged || t.Method == MethodHeavy || allUnstable}
+		if len(failed) == 0 {
+			out.Values = analyticValues(res, nil)
+			return out, nil
 		}
-		values := make(map[string]float64, 2*len(res.Classes)+3)
-		for p, cr := range res.Classes {
-			if !cr.Stable {
-				values[fmt.Sprintf("N%d", p)] = Unstable
-				values[fmt.Sprintf("T%d", p)] = Unstable
-				continue
-			}
-			values[fmt.Sprintf("N%d", p)] = cr.N
-			values[fmt.Sprintf("T%d", p)] = cr.T
+		ferr := serr
+		if ferr == nil {
+			ferr = classErr(res, failed)
 		}
-		values["totalN"] = res.TotalN
-		values["iterations"] = float64(res.Iterations)
-		values["meanCycle"] = res.MeanCycle
-		return execOutcome{values: values, converged: res.Converged || t.Method == MethodHeavy,
-			counters: res.Counters}, nil
+		if pol.Strict || !pol.AllowDegraded {
+			return Outcome{}, ferr
+		}
+		if !pol.FinalAttempt && errors.Is(ferr, certify.ErrNotConverged) {
+			// Retryable: let the runner escalate the budget first;
+			// degradation is the last rung, not the first.
+			return Outcome{}, ferr
+		}
+		// Degradation rung: one simulation run replaces the values of
+		// exactly the failed classes; healthy classes keep their
+		// certified analytic values. The runner records the outcome as
+		// degraded and never caches it, so a later run gets another
+		// chance at a fully analytic result.
+		sres, err := sim.RunGang(simConfig(t, m))
+		if err != nil {
+			return Outcome{}, &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "sweep.degrade",
+				Err: errors.Join(err, classErr(res, failed))}
+		}
+		out.Values, out.Degraded = analyticValues(res, sres), true
+		return out, nil
 
 	case MethodSim:
 		res, err := sim.RunGang(simConfig(t, m))
 		if err != nil {
-			return execOutcome{}, &certify.Failure{Kind: certify.ErrConfig, Stage: "sweep.sim", Err: err}
+			return Outcome{}, &certify.Failure{Kind: certify.ErrConfig, Stage: "sweep.sim", Err: err}
 		}
 		values := make(map[string]float64, 2*len(res.Classes)+1)
 		for p, cm := range res.Classes {
@@ -155,27 +187,54 @@ var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (execOutcome, err
 			values[fmt.Sprintf("simT%d", p)] = cm.MeanResponse
 		}
 		values["totalSimN"] = res.TotalMeanJobs
-		return execOutcome{values: values, converged: true}, nil
+		return Outcome{Values: values, Converged: true}, nil
 
 	case MethodExact2:
 		res, err := core.SolveExactTwoClass(m, core.ExactTwoClassOptions{
 			Truncation: t.Solve.ExactTruncation,
 		})
 		if err != nil {
-			return execOutcome{}, &certify.Failure{
+			return Outcome{}, &certify.Failure{
 				Kind:  certify.Classify(err, certify.ErrNumericContaminated),
 				Stage: "sweep.exact2",
 				Err:   err,
 			}
 		}
-		return execOutcome{values: map[string]float64{
+		return Outcome{Values: map[string]float64{
 			"N0": res.N[0], "N1": res.N[1],
 			"T0": res.T[0], "T1": res.T[1],
 			"residual": res.Residual,
-		}, converged: true}, nil
+		}, Converged: true}, nil
 	}
-	return execOutcome{}, &certify.Failure{Kind: certify.ErrConfig, Stage: "sweep.method",
+	return Outcome{}, &certify.Failure{Kind: certify.ErrConfig, Stage: "sweep.method",
 		Err: fmt.Errorf("sweep: unknown method %q", t.Method)}
+}
+
+// analyticValues records an analytic solve as the trial's value map:
+// each class's N and T (the Unstable sentinel past its stability
+// boundary), their total over the classes with values, the fixed-point
+// iteration count and the mean cycle. A failed class (non-nil Err) takes
+// its N and T from the simulation run sres.
+func analyticValues(res *core.Result, sres *sim.Result) map[string]float64 {
+	values := make(map[string]float64, 2*len(res.Classes)+3)
+	total := 0.0
+	for p, cr := range res.Classes {
+		n, t := float64(Unstable), float64(Unstable)
+		switch {
+		case cr.Err != nil:
+			n, t = sres.Classes[p].MeanJobs, sres.Classes[p].MeanResponse
+			total += n
+		case cr.Stable:
+			n, t = cr.N, cr.T
+			total += n
+		}
+		values[fmt.Sprintf("N%d", p)] = n
+		values[fmt.Sprintf("T%d", p)] = t
+	}
+	values["totalN"] = total
+	values["iterations"] = float64(res.Iterations)
+	values["meanCycle"] = res.MeanCycle
+	return values
 }
 
 // failedClasses returns the indices of classes whose solve carried a
@@ -206,44 +265,6 @@ func simConfig(t Trial, m *core.Model) sim.Config {
 		cfg.Horizon = defaultHorizon
 	}
 	return cfg
-}
-
-// degradeToSim is the ladder's bottom rung: one simulation run replaces
-// the N/T values of exactly the classes whose analytic solve failed;
-// healthy classes keep their certified analytic values. The outcome is
-// flagged degraded — the runner records it as such and never caches it,
-// so a later run gets another chance at a fully analytic result.
-func degradeToSim(t Trial, m *core.Model, res *core.Result, failed []int) (execOutcome, error) {
-	sres, err := sim.RunGang(simConfig(t, m))
-	if err != nil {
-		return execOutcome{}, &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "sweep.degrade",
-			Err: errors.Join(err, classErr(res, failed))}
-	}
-	values := make(map[string]float64, 2*len(res.Classes)+3)
-	total := 0.0
-	isFailed := make(map[int]bool, len(failed))
-	for _, p := range failed {
-		isFailed[p] = true
-	}
-	for p, cr := range res.Classes {
-		switch {
-		case isFailed[p]:
-			values[fmt.Sprintf("N%d", p)] = sres.Classes[p].MeanJobs
-			values[fmt.Sprintf("T%d", p)] = sres.Classes[p].MeanResponse
-			total += sres.Classes[p].MeanJobs
-		case cr.Stable:
-			values[fmt.Sprintf("N%d", p)] = cr.N
-			values[fmt.Sprintf("T%d", p)] = cr.T
-			total += cr.N
-		default:
-			values[fmt.Sprintf("N%d", p)] = Unstable
-			values[fmt.Sprintf("T%d", p)] = Unstable
-		}
-	}
-	values["totalN"] = total
-	values["iterations"] = float64(res.Iterations)
-	values["meanCycle"] = res.MeanCycle
-	return execOutcome{values: values, converged: true, degraded: true, counters: res.Counters}, nil
 }
 
 func classErr(res *core.Result, failed []int) error {

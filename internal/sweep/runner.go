@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/certify"
-	"repro/internal/certify/faultinject"
 	"repro/internal/core"
 )
 
@@ -301,8 +299,9 @@ func RunTrials(ctx context.Context, trials []Trial, opts Options) (*Run, error) 
 // retry-with-escalated-iteration-budget on fixed-point non-convergence.
 // Retries pause under exponential backoff with deterministic per-trial
 // jitter; ctx cuts both the backoff sleep and (via ExecPolicy.Ctx) the
-// solver's iteration loops. A non-nil ses makes the attempts
-// warm-started; warm results are never written back to the cache (the
+// solver's iteration loops. An all-unstable or degraded outcome is
+// final, never retried. A non-nil ses is the worker's warm session;
+// results solved through it are never written back to the cache (the
 // cache stays a store of cold-certified values that any run mode can
 // safely read).
 func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Session) (r TrialResult) {
@@ -371,7 +370,7 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 			r.Err = err.Error()
 			r.Kind = certify.KindLabel(err)
 			return r
-		case !out.converged && retryable:
+		case !out.Converged && !out.Degraded && retryable:
 			if !escalate(attempt) {
 				r.Status = StatusCanceled
 				r.Err = ctx.Err().Error()
@@ -379,9 +378,11 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 			}
 			continue
 		}
-		r.Values = out.values
-		r.Counters = out.counters
-		if out.degraded {
+		r.Values = out.Values
+		if out.Result != nil {
+			r.Counters = out.Result.Counters
+		}
+		if out.Degraded {
 			// Degraded values are second-class: flagged in the result and
 			// manifest, and never cached — a future run with a healthier
 			// numeric path gets to replace them with a certified solve.
@@ -391,7 +392,7 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 		}
 		r.Status = StatusOK
 		if opts.Cache != nil && ses == nil && !opts.Newton {
-			if cerr := opts.Cache.Put(r.Key, out.values); cerr != nil {
+			if cerr := opts.Cache.Put(r.Key, out.Values); cerr != nil {
 				r.Err = cerr.Error() // persisted result lost, values intact
 			}
 		}
@@ -418,34 +419,14 @@ func retryDelay(base time.Duration, key string, n int) time.Duration {
 	return time.Duration(float64(d) * factor)
 }
 
-// attemptTrial runs one execute attempt with panic isolation, then guards
-// the outgoing values: a NaN or ±Inf must never reach the artifacts or
-// the cache, whatever produced it.
-func attemptTrial(t Trial, pol ExecPolicy, ses *core.Session) (out execOutcome, err error) {
+// attemptTrial runs one Exec attempt behind the worker's panic barrier.
+func attemptTrial(t Trial, pol ExecPolicy, ses *core.Session) (out Outcome, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			out, err = execOutcome{}, errPanic
+			out, err = Outcome{}, errPanic
 		}
 	}()
-	out, err = execute(t, pol, ses)
-	if err != nil {
-		return out, err
-	}
-	// Fault-injection point: tests corrupt or panic here to prove the
-	// value guard and worker isolation hold at the last gate.
-	if ferr := faultinject.Fire("sweep.values", out.values); ferr != nil {
-		return execOutcome{}, ferr
-	}
-	for k, v := range out.values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return execOutcome{}, &certify.Failure{
-				Kind:  certify.ErrNumericContaminated,
-				Stage: "sweep.values",
-				Err:   fmt.Errorf("value %q = %v", k, v),
-			}
-		}
-	}
-	return out, nil
+	return Exec(t, pol, ses)
 }
 
 func buildManifest(opts Options, results []TrialResult, wall time.Duration) Manifest {

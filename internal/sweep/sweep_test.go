@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -326,11 +327,11 @@ func TestCacheSurvivesCorruptTail(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	orig := execute
 	defer func() { execute = orig }()
-	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (execOutcome, error) {
+	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
 		if tr.Point["i"] == 1 {
 			panic("boom")
 		}
-		return execOutcome{values: map[string]float64{"v": tr.Point["i"]}, converged: true}, nil
+		return Outcome{Values: map[string]float64{"v": tr.Point["i"]}, Converged: true}, nil
 	}
 	trials := []Trial{
 		{Scenario: testSpec().Base, Method: MethodAnalytic, Point: map[string]float64{"i": 0}},
@@ -356,10 +357,10 @@ func TestRetryEscalatesIterationBudget(t *testing.T) {
 	orig := execute
 	defer func() { execute = orig }()
 	var budgets []int
-	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (execOutcome, error) {
+	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
 		budgets = append(budgets, tr.Solve.MaxIterations)
 		// Converge only once the budget has been escalated twice.
-		return execOutcome{values: map[string]float64{"v": 1}, converged: tr.Solve.MaxIterations >= 3200}, nil
+		return Outcome{Values: map[string]float64{"v": 1}, Converged: tr.Solve.MaxIterations >= 3200}, nil
 	}
 	trials := []Trial{{Scenario: testSpec().Base, Method: MethodAnalytic}}
 	run, err := RunTrials(context.Background(), trials, Options{Workers: 1})
@@ -377,6 +378,34 @@ func TestRetryEscalatesIterationBudget(t *testing.T) {
 	}
 	if run.Results[0].Attempts != 3 || run.Manifest.Retries != 2 {
 		t.Fatalf("retry bookkeeping: attempts %d retries %d", run.Results[0].Attempts, run.Manifest.Retries)
+	}
+}
+
+// TestAllUnstableIsFinal: a trial whose every class is past its
+// stability boundary has its final answer — every class Unstable — on
+// the first attempt: no retry, no backoff, and the values the single
+// fixed-point round gives.
+func TestAllUnstableIsFinal(t *testing.T) {
+	sc := testSpec().Base
+	for i := range sc.Classes {
+		sc.Classes[i].Lambda = 5
+	}
+	run, err := RunTrials(context.Background(), []Trial{{Scenario: sc, Method: MethodAnalytic}},
+		Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := run.Results[0]
+	if r.Status != StatusOK || r.Attempts != 1 || r.Backoff != 0 || run.Manifest.Retries != 0 {
+		t.Fatalf("status %q after %d attempts, backoff %v, manifest retries %d; want ok after 1, none",
+			r.Status, r.Attempts, r.Backoff, run.Manifest.Retries)
+	}
+	want := map[string]float64{
+		"N0": Unstable, "T0": Unstable, "N1": Unstable, "T1": Unstable,
+		"totalN": 0, "iterations": 1, "meanCycle": 0,
+	}
+	if !reflect.DeepEqual(r.Values, want) {
+		t.Fatalf("values %v, want %v", r.Values, want)
 	}
 }
 

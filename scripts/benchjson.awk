@@ -32,7 +32,7 @@
 
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
-/^pkg:/    { if (pkgs != "") pkgs = pkgs ","; pkgs = pkgs $2 }
+/^pkg:/    { if (!($2 in seenpkg)) { seenpkg[$2] = 1; if (pkgs != "") pkgs = pkgs ","; pkgs = pkgs $2 } }
 /^cpu:/    { cpu = $0; sub(/^cpu: */, "", cpu) }
 
 /^Benchmark/ {
