@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race race-full ci chaos chaos-short fuzz-short xcheck xcheck-short bench bench-sweep bench-kernel bench-pipeline bench-serve bench-scale bench-huge bench-compare
+.PHONY: build fmt vet test race race-full ci chaos chaos-short fuzz-short xcheck xcheck-short bench bench-sweep bench-kernel bench-serve bench-scale bench-huge bench-compare
 
 build:
 	$(GO) build ./...
@@ -38,16 +38,18 @@ race-full:
 # for a data race to hide. internal/serve joins the explicit list: the
 # daemon's handlers, flight group, shard pool and shutdown path are all
 # concurrent by construction. The GOMAXPROCS=4 passes re-run the
-# per-class parallel-solve property tests and the striped-cache stress
-# with four Ps even on a 1-CPU machine, so the worker group, the
-# per-class workspace arenas and the cache stripes are raced with real
-# interleaving rather than cooperative single-P scheduling. perfbench is
+# per-class parallel-solve property tests, the striped-cache stress and
+# the cold-grid pin (one session per sweep worker, at one and three
+# workers) with four Ps even on a 1-CPU machine, so the worker group,
+# the per-class workspace arenas, the cache stripes and the per-worker
+# sessions are raced with real interleaving rather than cooperative
+# single-P scheduling. perfbench is
 # a module of its own, outside ./..., so it is vetted explicitly: an API
 # change it reads must fail here, not only in the benchmark run.
 ci: build fmt vet race
 	$(GO) vet ./... && $(GO) test -race -count 1 ./internal/sweep/ ./internal/certify/ ./internal/core/ ./internal/serve/
 	GOMAXPROCS=4 $(GO) test -race -count 1 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'TestCache' ./internal/sweep/
+	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'TestCache|TestColdGridGolden' ./internal/sweep/
 	GOMAXPROCS=4 $(GO) test -race -count 1 \
 		-run 'TestBlockOp|TestAdoptOp|TestKronBlock|TestCSRBlock' ./internal/matrix/
 	$(GO) -C perfbench vet .
@@ -140,30 +142,12 @@ bench-kernel:
 	rm -f bench_kernel.out
 	cat BENCH_kernel.json
 
-# bench-pipeline regenerates the committed cold-vs-warm staged-pipeline
-# baseline (BENCH_pipeline.json): the 64-trial analytic grid on one
-# worker, solved cold and with warm-started sessions, comparing trials/s
-# and mean R-matrix iterations per QBD solve. Three -count 1 passes
-# interleave the pair (Cold, Warm, Cold, Warm, ...; a single -count 3
-# would run each benchmark's repetitions back to back); benchjson.awk
-# keeps each benchmark's best run, so a scheduler hiccup in one pass
-# cannot poison the committed ratio.
-bench-pipeline:
-	rm -f bench_pipeline.out
-	for i in 1 2 3; do \
-		$(GO) test -run '^$$' -bench 'BenchmarkPipeline' -benchmem -benchtime 2s -count 1 \
-			./internal/sweep | tee -a bench_pipeline.out; \
-	done
-	awk -f scripts/benchjson.awk bench_pipeline.out > BENCH_pipeline.json
-	rm -f bench_pipeline.out
-	cat BENCH_pipeline.json
-
 # bench-serve regenerates the committed serving-path baseline
 # (BENCH_serve.json): full HTTP round trips through gangserved's engine
-# on the three answer paths — cold-session solve, warm-shard solve
-# (structure reuse + warm-started R), and memo cache hit (zero solver
-# calls). Three -count 1 passes interleave them; benchjson.awk keeps
-# each benchmark's best run.
+# on the two answer paths — a solve on a primed shard (its session
+# refills the chains in place) and a memo cache hit (zero solver calls).
+# Three -count 1 passes interleave them; benchjson.awk keeps each
+# benchmark's best run.
 bench-serve:
 	rm -f bench_serve.out
 	for i in 1 2 3; do \
@@ -176,7 +160,7 @@ bench-serve:
 
 # bench-scale regenerates the committed multi-core scaling matrix
 # (BENCH_scale.json): the parallel fixed point (per-class dispatch), the
-# parallel sweep pool and the warm serve path at GOMAXPROCS 1/2/4/8,
+# parallel sweep pool and the serve solve path at GOMAXPROCS 1/2/4/8,
 # plus the panel-kernel A/B (avx2 vs the pure-Go loop). Records keep
 # their -N variant, so the JSON carries per-row gomaxprocs and a
 # scaling_vs_1cpu table. Rows above the machine's CPU count cannot

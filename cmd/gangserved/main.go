@@ -1,6 +1,6 @@
 // Command gangserved serves the gang-scheduling analysis online: a
-// long-running HTTP/JSON daemon in front of a pool of warm solver
-// sessions sharded by structural signature, with content-addressed
+// long-running HTTP/JSON daemon in front of a pool of solver sessions
+// sharded by structural signature, with content-addressed
 // answer caching, request coalescing, token-bucket admission control and
 // Prometheus metrics.
 //
@@ -49,8 +49,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		shards      = flag.Int("shards", 0, "warm solver shards (0 = GOMAXPROCS)")
-		cold        = flag.Bool("cold", false, "disable warm-start continuation (A/B lever; sessions still reuse chain structure)")
+		shards      = flag.Int("shards", 0, "solver shards (0 = GOMAXPROCS)")
 		rate        = flag.Float64("rate", 0, "admission rate in requests/s (0 = unlimited)")
 		burst       = flag.Int("burst", 0, "admission burst capacity (default max(1, rate))")
 		maxBody     = flag.Int64("max-body", 1<<20, "request body limit in bytes")
@@ -74,7 +73,6 @@ func main() {
 	}
 	srv, err := serve.New(serve.Config{
 		Shards:         *shards,
-		ColdSessions:   *cold,
 		Rate:           *rate,
 		Burst:          b,
 		MaxBody:        *maxBody,
@@ -112,7 +110,7 @@ func main() {
 	if nshards <= 0 {
 		nshards = runtime.GOMAXPROCS(0)
 	}
-	fmt.Fprintf(os.Stderr, "gangserved: listening on %s (%d shards, warm=%v)\n", *addr, nshards, !*cold)
+	fmt.Fprintf(os.Stderr, "gangserved: listening on %s (%d shards)\n", *addr, nshards)
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -65,7 +65,6 @@ func main() {
 		example  = flag.Bool("example", false, "print an example spec and exit")
 		strict   = flag.Bool("strict", false, "treat every certification failure as a hard trial error (no degradation)")
 		degraded = flag.Bool("allow-degraded", false, "after retries, fall back to simulation for classes whose analytic solve failed certification (results flagged degraded, never cached)")
-		warm     = flag.Bool("warm", false, "order trials for locality and warm-start each worker's solves from the previous trial's R matrix (certified; results may differ from a cold run within tolerance, so warm results are never cached)")
 		solvePar = flag.Int("solve-parallel", 1, "per-class parallelism inside each analytic solve (<=1 = serial; the trial pool is the primary axis); results are bit-identical either way")
 		newton   = flag.Bool("newton", false, "enable the Newton cyclic-reduction rung in the R-matrix ladder (pays off on large repeating blocks; certified, but results may differ from the classical reduction within tolerance, so they are never cached)")
 	)
@@ -87,7 +86,7 @@ func main() {
 	fail(err)
 
 	opts := sweep.Options{Workers: *parallel, Strict: *strict, AllowDegraded: *degraded,
-		WarmStart: *warm, SolveParallel: *solvePar, Newton: *newton}
+		SolveParallel: *solvePar, Newton: *newton}
 	if *parallel > 1 && runtime.GOMAXPROCS(0) == 1 {
 		fmt.Fprintf(os.Stderr, "gangsweep: warning: -parallel %d on GOMAXPROCS=1 — the pool serializes on one CPU and is pure overhead; expect slower than -parallel 1 (noted in the manifest)\n", *parallel)
 	}

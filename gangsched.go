@@ -91,24 +91,22 @@ func SolveHeavyTraffic(m *Model, opts SolveOptions) (*Result, error) {
 }
 
 // Session runs repeated solves while reusing structure between them —
-// workspaces, per-class chain structure, and (with
-// SolveOptions.WarmStart) the last converged R matrix as the next
-// solve's initial iterate. A rates-only model change refills the
-// existing generator in place; structural changes rebuild only the
-// affected class. Reuse never changes certified answers; see
-// DESIGN.md §10. Not safe for concurrent use: hold one per goroutine.
+// workspaces and per-class chain structure. A rates-only model change
+// refills the existing generator in place; structural changes rebuild
+// only the affected class. Reuse never changes an answer: Resolve is
+// bit-for-bit the one-shot Solve; see DESIGN.md §10. Not safe for
+// concurrent use: hold one per goroutine.
 type Session = core.Session
 
 // Counters are the per-run pipeline statistics (chains built vs
-// refilled, QBD solves, R iterations, warm vs cold starts) carried in
-// Result.Counters and summed in Session.Counters.
+// refilled, QBD solves, R iterations) carried in Result.Counters and
+// summed in Session.Counters.
 type Counters = core.Counters
 
 // NewSession validates opts, applies defaults, and returns a reusable
-// solver session. A zero SolveOptions matches Solve's defaults; set
-// opts.WarmStart to continue R iterates across Resolve calls:
+// solver session. A zero SolveOptions matches Solve's defaults:
 //
-//	ses, err := gangsched.NewSession(gangsched.SolveOptions{WarmStart: true})
+//	ses, err := gangsched.NewSession(gangsched.SolveOptions{})
 //	for _, m := range models { // nearby operating points
 //		res, err := ses.Resolve(m)
 //		...

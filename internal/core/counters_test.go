@@ -12,7 +12,7 @@ import (
 func TestAtomicCountersAccumulate(t *testing.T) {
 	deltas := []Counters{
 		{Builds: 2, Solves: 3, RIterations: 17},
-		{Refills: 5, Solves: 4, WarmSolves: 3, ColdSolves: 1, WarmAccepted: 2},
+		{Refills: 5, Solves: 4},
 		{Builds: 1, RIterations: 9},
 	}
 	var want Counters
@@ -76,7 +76,7 @@ func TestAtomicCountersConcurrent(t *testing.T) {
 // scrape hitting a gangserved shard mid-request. Run under -race by
 // make ci.
 func TestSessionCountersScrapeDuringSolve(t *testing.T) {
-	ses, err := NewSession(SolveOptions{WarmStart: true})
+	ses, err := NewSession(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,14 +42,6 @@ type SolveOptions struct {
 	// TruncationCap bounds the truncation depth above the boundary.
 	// Default 400.
 	TruncationCap int
-	// WarmStart lets a Session seed each class's QBD solve with that
-	// class's last converged R matrix (qbd.RMatrixOptions.InitialR) —
-	// across fixed-point iterations and across Resolve calls on nearby
-	// models. Warm iterates are initial guesses only: every solution is
-	// certified post-hoc, and a rejected warm rung falls back to the cold
-	// ladder. Off by default so one-shot solves are bit-for-bit
-	// reproducible against previous releases.
-	WarmStart bool
 	// Parallel bounds the worker group that solves the L independent
 	// per-class QBDs of each fixed-point iteration concurrently. 0 means
 	// GOMAXPROCS, 1 forces the historical serial path; values above the
@@ -139,7 +131,7 @@ func (o SolveOptions) Validate() error {
 
 // Counters are the per-run pipeline statistics of one solve (or, summed,
 // of a Session's lifetime): how much structural work was reused and how
-// much R-matrix iteration the warm starts saved. A run that did no
+// much R-matrix iteration the QBD solves took. A run that did no
 // analytic work at all (everything served from cache) reports all-zero
 // counters — the sweep layer omits them from its manifest entirely.
 type Counters struct {
@@ -154,11 +146,9 @@ type Counters struct {
 	// RIterations sums the R-matrix iteration counts certified across all
 	// solves; divide by Solves for the mean cost of one solve.
 	RIterations int `json:"rIterations"`
-	// WarmSolves / ColdSolves split Solves by whether an initial iterate
-	// was supplied; WarmAccepted counts warm solves whose warm rung was
-	// certified (the rest fell back to the cold ladder).
+	// WarmSolves and WarmAccepted are always zero: every QBD solve starts
+	// from scratch. They stay because the perfbench harness reads them.
 	WarmSolves   int `json:"warmSolves"`
-	ColdSolves   int `json:"coldSolves"`
 	WarmAccepted int `json:"warmAccepted"`
 }
 
@@ -168,9 +158,6 @@ func (c *Counters) Add(o Counters) {
 	c.Refills += o.Refills
 	c.Solves += o.Solves
 	c.RIterations += o.RIterations
-	c.WarmSolves += o.WarmSolves
-	c.ColdSolves += o.ColdSolves
-	c.WarmAccepted += o.WarmAccepted
 }
 
 // AtomicCounters is the race-safe Counters accumulator: the owning
@@ -182,8 +169,7 @@ func (c *Counters) Add(o Counters) {
 // still a value that was, or will momentarily be, correct, which is all
 // a monotone metrics counter needs.
 type AtomicCounters struct {
-	builds, refills, solves, rIterations,
-	warmSolves, coldSolves, warmAccepted atomic.Int64
+	builds, refills, solves, rIterations atomic.Int64
 }
 
 // Add accumulates a run's counters. Safe for concurrent use.
@@ -192,21 +178,15 @@ func (a *AtomicCounters) Add(c Counters) {
 	a.refills.Add(int64(c.Refills))
 	a.solves.Add(int64(c.Solves))
 	a.rIterations.Add(int64(c.RIterations))
-	a.warmSolves.Add(int64(c.WarmSolves))
-	a.coldSolves.Add(int64(c.ColdSolves))
-	a.warmAccepted.Add(int64(c.WarmAccepted))
 }
 
 // Snapshot returns the accumulated totals as a plain Counters value.
 // Safe for concurrent use.
 func (a *AtomicCounters) Snapshot() Counters {
 	return Counters{
-		Builds:       int(a.builds.Load()),
-		Refills:      int(a.refills.Load()),
-		Solves:       int(a.solves.Load()),
-		RIterations:  int(a.rIterations.Load()),
-		WarmSolves:   int(a.warmSolves.Load()),
-		ColdSolves:   int(a.coldSolves.Load()),
-		WarmAccepted: int(a.warmAccepted.Load()),
+		Builds:      int(a.builds.Load()),
+		Refills:     int(a.refills.Load()),
+		Solves:      int(a.solves.Load()),
+		RIterations: int(a.rIterations.Load()),
 	}
 }

@@ -133,19 +133,18 @@ func TestParallelBitwiseIdenticalSerial(t *testing.T) {
 	}
 }
 
-// TestParallelSessionWarmStartIdentical re-runs the property through a
-// warm session: consecutive Resolves on drifting rates must stay
+// TestParallelSessionRefillIdentical re-runs the property through
+// sessions: consecutive Resolves on drifting rates must stay
 // bitwise-identical between a serial and a parallel session, proving
-// the per-class warm iterates and refill path survive concurrent
-// dispatch.
-func TestParallelSessionWarmStartIdentical(t *testing.T) {
+// the per-class refill path survives concurrent dispatch.
+func TestParallelSessionRefillIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := parallelTestModel(4, rng)
-	ss, err := NewSession(SolveOptions{WarmStart: true, Parallel: 1})
+	ss, err := NewSession(SolveOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewSession(SolveOptions{WarmStart: true, Parallel: 3})
+	sp, err := NewSession(SolveOptions{Parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,10 @@ func TestParallelSessionWarmStartIdentical(t *testing.T) {
 		if errS != nil {
 			continue
 		}
-		requireIdenticalResults(t, fmt.Sprintf("warm step %d", step), rs, rp)
+		requireIdenticalResults(t, fmt.Sprintf("step %d", step), rs, rp)
+	}
+	if cs, cp := ss.Counters(), sp.Counters(); cs != cp || cs.Refills == 0 {
+		t.Fatalf("session counters: serial %+v, parallel %+v", cs, cp)
 	}
 }
 

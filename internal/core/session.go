@@ -9,19 +9,15 @@ import (
 )
 
 // Session runs repeated solves while reusing everything structural
-// between them: the matrix workspace, each class's built chain (state
-// space, block dimensions, sparsity patterns) and — when WarmStart is
-// on — each class's last converged R matrix as the next solve's initial
-// iterate. A structural diff on every class decides what carries over:
-// a rates-only change refills the existing generator in place, any
-// structural change (partitioning or a phase order) rebuilds just that
-// class.
+// between them: the matrix workspace and each class's built chain (state
+// space, block dimensions, sparsity patterns). A structural diff on every
+// class decides what carries over: a rates-only change refills the
+// existing generator in place, any structural change (partitioning or a
+// phase order) rebuilds just that class.
 //
-// Reuse never changes answers: structure reuse is exact (a refilled
-// generator is bit-for-bit the rebuilt one), and a warm R is only an
-// initial guess whose solution is re-certified post-hoc, falling back
-// to the cold ladder when rejected. With WarmStart off, Resolve is
-// bit-for-bit the one-shot Solve.
+// Reuse never changes answers: a refilled generator is bit-for-bit the
+// rebuilt one and every QBD solve starts from scratch, so Resolve is
+// bit-for-bit the one-shot Solve of the same model.
 //
 // A Session is not safe for concurrent use; run one per goroutine
 // (the sweep harness threads one per worker; gangserved one per shard).
@@ -45,7 +41,6 @@ type Session struct {
 type sessionClass struct {
 	sig   classSig
 	chain *ClassChain
-	lastR *matrix.Dense
 	// ws is the class's private workspace arena, created on first
 	// parallel dispatch. Serial solves keep the session-wide arena (the
 	// historical layout); parallel solves must not share one — the arena
@@ -76,7 +71,7 @@ func sigFor(m *Model, p int, intervisit *phase.Dist) classSig {
 
 // NewSession validates opts, applies defaults and returns a Session
 // ready for Resolve. A zero SolveOptions gives the same defaults as
-// Solve; set opts.WarmStart to carry R iterates between solves.
+// Solve.
 func NewSession(opts SolveOptions) (*Session, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -95,9 +90,7 @@ func (s *Session) Resolve(m *Model) (*Result, error) {
 }
 
 // ResolveWith is Resolve under per-call option overrides (defaults are
-// applied; the session's workspace is used unless opts names one). Warm
-// starting is a property of the session, not of the call: opts.WarmStart
-// is replaced by the session's.
+// applied; the session's workspace is used unless opts names one).
 func (s *Session) ResolveWith(m *Model, opts SolveOptions) (*Result, error) {
 	opts, err := s.override(opts)
 	if err != nil {
@@ -122,7 +115,6 @@ func (s *Session) override(opts SolveOptions) (SolveOptions, error) {
 		return opts, err
 	}
 	opts = opts.withDefaults()
-	opts.WarmStart = s.opts.WarmStart
 	if opts.RMatrix.Workspace == nil {
 		opts.RMatrix.Workspace = s.ws
 	}
@@ -159,8 +151,7 @@ func (s *Session) resolve(m *Model, opts SolveOptions, heavy bool) (*Result, err
 
 // stageBuildClass is pipeline stage 2 for one class: reuse the session
 // chain via an in-place refill when the structural signature matches,
-// rebuild otherwise. A structural change invalidates the class's warm
-// iterate (its dimension or meaning changed with the state space).
+// rebuild otherwise.
 func (s *Session) stageBuildClass(m *Model, p int, f *phase.Dist, opts SolveOptions, cnt *Counters) (*ClassChain, error) {
 	st := &s.classes[p]
 	sig := sigFor(m, p, f)
@@ -184,52 +175,19 @@ func (s *Session) stageBuildClass(m *Model, p int, f *phase.Dist, opts SolveOpti
 		// structure: the class keeps one set across rebuilds.
 		ch.quantum = st.chain.quantum
 	}
-	if st.sig != sig {
-		st.lastR = nil
-	}
 	st.sig, st.chain = sig, ch
 	return ch, nil
 }
 
-// stageSolveQBD is pipeline stage 3 for one class: the matrix-geometric
-// solve, warm-started from the class's last converged R when the
-// session allows it. The solution's certificate is unconditional —
-// qbd.Solve certifies warm and cold paths alike — and its R becomes the
-// class's next warm iterate.
-func (s *Session) stageSolveQBD(p int, ch *ClassChain, opts SolveOptions, cnt *Counters) (*qbd.Solution, error) {
-	st := &s.classes[p]
-	ropts := opts.RMatrix
-	warm := false
-	if opts.WarmStart && st.lastR != nil && st.lastR.Rows() == ch.Proc.RepeatDim() {
-		ropts.InitialR = st.lastR
-		warm = true
-	}
+// stageSolveQBD is pipeline stage 3 for one class: the certified
+// matrix-geometric solve of the class's chain.
+func stageSolveQBD(ch *ClassChain, opts SolveOptions, cnt *Counters) (*qbd.Solution, error) {
 	cnt.Solves++
-	if warm {
-		cnt.WarmSolves++
-	} else {
-		cnt.ColdSolves++
-	}
-	sol, err := qbd.Solve(ch.Proc, ropts)
+	sol, err := qbd.Solve(ch.Proc, opts.RMatrix)
 	if err != nil {
-		// Poison protection: a failed solve says the retained warm iterate
-		// may be implicated — a non-converged or contaminated R would
-		// otherwise seed every later solve routed to this class (the shard
-		// keyed by classSig in gangserved). Drop it so the next solve
-		// starts from the cold ladder. ErrUnstable is exempt: instability
-		// is a verdict about the model's drift, not about the iterate.
-		if !errors.Is(err, qbd.ErrUnstable) {
-			st.lastR = nil
-		}
 		return nil, err
 	}
-	if sol.Cert != nil {
-		cnt.RIterations += sol.Cert.Iterations
-		if warm && qbd.WarmAccepted(sol.Cert.Path) {
-			cnt.WarmAccepted++
-		}
-	}
-	st.lastR = sol.R
+	cnt.RIterations += sol.Cert.Iterations
 	return sol, nil
 }
 
@@ -247,7 +205,7 @@ func (s *Session) solveClass(m *Model, p int, f *phase.Dist, opts SolveOptions, 
 		return nil, err
 	}
 	cr := &ClassResult{Rho: m.ClassUtilization(p), Intervisit: f, chain: ch}
-	sol, err := s.stageSolveQBD(p, ch, opts, cnt)
+	sol, err := stageSolveQBD(ch, opts, cnt)
 	if errors.Is(err, qbd.ErrUnstable) {
 		return cr, nil // Stable stays false
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/certify"
@@ -11,10 +10,10 @@ import (
 	"repro/internal/qbd"
 )
 
-// TestSessionColdMatchesSolve pins the refactor's core invariant: with
-// WarmStart off, a Session resolving a sequence of models is bit-for-bit
-// the one-shot Solve on each — the in-place refill reproduces a fresh
-// build exactly, so not a single float may differ.
+// TestSessionColdMatchesSolve pins the session's core invariant: a
+// Session resolving a sequence of models is bit-for-bit the one-shot
+// Solve on each — the in-place refill reproduces a fresh build exactly,
+// so not a single float may differ.
 func TestSessionColdMatchesSolve(t *testing.T) {
 	s, err := NewSession(SolveOptions{})
 	if err != nil {
@@ -38,61 +37,6 @@ func TestSessionColdMatchesSolve(t *testing.T) {
 			t.Fatalf("lambda=%g: iteration counts differ: %d vs %d",
 				lambda, got.Iterations, want.Iterations)
 		}
-	}
-}
-
-// TestSessionWarmVsCold is the warm-start equivalence property: over a
-// randomized rate sweep, warm-started resolves agree with cold one-shot
-// solves within the certification tolerance, every warm solution carries
-// a certificate, and the warm rung shows up both in the certificate path
-// and in the counters.
-func TestSessionWarmVsCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	s, err := NewSession(SolveOptions{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawWarmPath := false
-	for i := 0; i < 12; i++ {
-		lambda := 0.1 + 0.6*rng.Float64()
-		quantum := 0.5 + 2*rng.Float64()
-		overhead := 0.01 + 0.05*rng.Float64()
-		m := singleClassModel(8, 4, lambda, 1.0, quantum, overhead)
-		warm, err := s.Resolve(m)
-		if err != nil {
-			t.Fatalf("trial %d: warm: %v", i, err)
-		}
-		cold, err := Solve(m, SolveOptions{})
-		if err != nil {
-			t.Fatalf("trial %d: cold: %v", i, err)
-		}
-		cw, cc := warm.Classes[0], cold.Classes[0]
-		if cw.Stable != cc.Stable {
-			t.Fatalf("trial %d: stability disagrees", i)
-		}
-		if !cw.Stable {
-			continue
-		}
-		if cw.Cert == nil {
-			t.Fatalf("trial %d: warm solution missing certificate", i)
-		}
-		if rel := math.Abs(cw.N-cc.N) / math.Max(cc.N, 1e-12); rel > 1e-5 {
-			t.Fatalf("trial %d: warm N %v vs cold %v (rel %g)", i, cw.N, cc.N, rel)
-		}
-		if qbd.WarmAccepted(cw.Cert.Path) {
-			sawWarmPath = true
-		}
-	}
-	cnt := s.Counters()
-	if cnt.WarmSolves == 0 || cnt.WarmAccepted == 0 {
-		t.Fatalf("warm starts never engaged: %+v", cnt)
-	}
-	if !sawWarmPath {
-		t.Fatal("no certificate recorded a warm rung in its path")
-	}
-	// The first solve of the first trial has no prior iterate.
-	if cnt.ColdSolves == 0 {
-		t.Fatalf("expected at least one cold solve: %+v", cnt)
 	}
 }
 
@@ -240,12 +184,9 @@ func TestSolveOptionsValidate(t *testing.T) {
 
 // TestCountersAdd: Add accumulates every field.
 func TestCountersAdd(t *testing.T) {
-	c := Counters{Builds: 1, Refills: 2, Solves: 3, RIterations: 4,
-		WarmSolves: 5, ColdSolves: 6, WarmAccepted: 7}
-	c.Add(Counters{Builds: 10, Refills: 20, Solves: 30, RIterations: 40,
-		WarmSolves: 50, ColdSolves: 60, WarmAccepted: 70})
-	want := Counters{Builds: 11, Refills: 22, Solves: 33, RIterations: 44,
-		WarmSolves: 55, ColdSolves: 66, WarmAccepted: 77}
+	c := Counters{Builds: 1, Refills: 2, Solves: 3, RIterations: 4}
+	c.Add(Counters{Builds: 10, Refills: 20, Solves: 30, RIterations: 40})
+	want := Counters{Builds: 11, Refills: 22, Solves: 33, RIterations: 44}
 	if c != want {
 		t.Fatalf("Add: got %+v, want %+v", c, want)
 	}

@@ -83,7 +83,7 @@ type Result struct {
 	// Σ_p (E[effective quantum_p] + E[C_p]).
 	MeanCycle float64
 	// Counters are this run's pipeline statistics: chains built vs
-	// refilled, QBD solves, R iterations, warm vs cold starts.
+	// refilled, QBD solves, R iterations.
 	Counters Counters
 }
 
@@ -104,8 +104,8 @@ func SolveHeavyTraffic(m *Model, opts SolveOptions) (*Result, error) {
 // Solve runs the full Theorem 4.3 fixed-point iteration: solve each class,
 // extract each class's effective quantum from its solution, rebuild every
 // intervisit distribution from the other classes' effective quanta, and
-// repeat to convergence. One-shot; to amortize structure and warm-start
-// nearby solves, hold a Session and Resolve repeatedly.
+// repeat to convergence. One-shot; to amortize structure across nearby
+// solves, hold a Session and Resolve repeatedly.
 func Solve(m *Model, opts SolveOptions) (*Result, error) {
 	s, err := NewSession(opts)
 	if err != nil {

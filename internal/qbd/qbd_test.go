@@ -365,14 +365,10 @@ func TestSpectralRadiusR(t *testing.T) {
 
 // TestCertSpectralRadiusIsTightBound pins the certificate's spectral
 // bound to the tight 40-squaring Gelfand bound of the returned R, bit for
-// bit, on the cold, warm and Newton paths: callers report it as sp(R)
-// instead of recomputing it.
+// bit, on the logarithmic-reduction and Newton paths: callers report it
+// as sp(R) instead of recomputing it.
 func TestCertSpectralRadiusIsTightBound(t *testing.T) {
 	cold, err := Solve(mErlang2_1(0.6, 1), RMatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Solve(mErlang2_1(0.61, 1), RMatrixOptions{InitialR: cold.R})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +379,7 @@ func TestCertSpectralRadiusIsTightBound(t *testing.T) {
 	for _, c := range []struct {
 		rung string
 		sol  *Solution
-	}{{rungLogReduction, cold}, {rungWarm, warm}, {rungNewton, newton}} {
+	}{{rungLogReduction, cold}, {rungNewton, newton}} {
 		path := c.sol.Cert.Path
 		if last := path[len(path)-1]; last != c.rung+": ok" {
 			t.Fatalf("%s: accepted %q, path %v", c.rung, last, path)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/certify"
 	"repro/internal/certify/faultinject"
@@ -43,7 +42,7 @@ type RMatrixOptions struct {
 	// unless a caller opts in. A Newton result always carries a
 	// Certificate, even on the raw RMatrix/RMatrixOp entry points; a
 	// rejected Newton attempt is recorded in the certificate path and the
-	// ladder falls through to the unchanged cold rungs.
+	// ladder falls through to the unchanged classical rungs.
 	Newton bool
 
 	// NewtonMinOrder gates the Newton rung to block orders at or above
@@ -51,10 +50,6 @@ type RMatrixOptions struct {
 	// fixed ~8-multiply iterations beat Newton's LU-per-step, so the
 	// rung would only add certification overhead.
 	NewtonMinOrder int
-
-	// CertTol overrides the certification tolerances Solve judges its
-	// result against; nil means certify.DefaultTolerances().
-	CertTol *certify.Tolerances
 
 	// Ctx, when non-nil, lets the caller interrupt the iterative solvers
 	// mid-iteration: every loop polls Ctx.Err() once per
@@ -66,19 +61,6 @@ type RMatrixOptions struct {
 	// the caller no longer wants. Nil (the default, and the only state
 	// benchmarks ever see) costs one nil-check per polled iteration.
 	Ctx context.Context
-
-	// InitialR, when non-nil and shape-compatible, warm-starts the solve:
-	// before the cold fallback ladder runs, a traffic-based iteration
-	// R ← D₀·(I − D₁ − R·D₂)⁻¹ continues from InitialR (typically the
-	// previous fixed-point iterate, or the converged R of a nearby sweep
-	// trial). The warm result is an initial guess only — it must pass the
-	// same certification as every cold rung, and a warm R whose spectral
-	// bound reaches 1 is discarded (it may be a non-minimal solution of
-	// the quadratic equation), so the ladder falls back to the cold rungs
-	// and correctness never depends on the quality of the guess. Warm
-	// starts only apply on the certified path (Solve); the raw RMatrix
-	// entry point ignores InitialR.
-	InitialR *matrix.Dense
 }
 
 func (o RMatrixOptions) withDefaults() RMatrixOptions {
@@ -99,13 +81,6 @@ func (o RMatrixOptions) workspace() *matrix.Workspace {
 		return o.Workspace
 	}
 	return matrix.NewWorkspace()
-}
-
-func (o RMatrixOptions) certTol() certify.Tolerances {
-	if o.CertTol != nil {
-		return *o.CertTol
-	}
-	return certify.DefaultTolerances()
 }
 
 // cancelCheckInterval is how often (in iterations) the iterative solvers
@@ -144,30 +119,14 @@ const (
 	shiftedMargin    = 1.01
 )
 
-// Fallback-ladder rung names, in the order they are attempted. The warm
-// rung only exists when the caller supplied an InitialR; the cold ladder
-// below it is unchanged, so solves without a warm iterate are bitwise
-// identical to the historical path.
+// Fallback-ladder rung names, in the order they are attempted.
 const (
-	rungWarm         = "warm"
 	rungNewton       = "newton"
 	rungLogReduction = "logreduction"
 	rungSubstitution = "substitution"
 	rungTightened    = "tightened"
 	rungShifted      = "shifted"
 )
-
-// WarmAccepted reports whether a certificate path's accepted rung — its
-// last entry — is the warm-start continuation, i.e. the solve really did
-// converge from the supplied InitialR rather than falling back to a cold
-// rung.
-func WarmAccepted(path []string) bool {
-	if len(path) == 0 {
-		return false
-	}
-	last := path[len(path)-1]
-	return strings.HasPrefix(last, rungWarm+":") && strings.HasSuffix(last, "ok")
-}
 
 // RMatrix computes the minimal non-negative solution of
 // R²·A₂ + R·A₁ + A₀ = 0 (paper eq. 23) by logarithmic reduction on the
@@ -269,27 +228,12 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 		r    *matrix.Dense
 		cert *certify.Certificate
 	)
-	if certTol != nil && opts.InitialR != nil &&
-		opts.InitialR.Rows() == n && opts.InitialR.Cols() == n {
-		r, cert = try(rungWarm, func() (*matrix.Dense, int, error) {
-			return warmIterationR(id, b0, d1, b2, opts.InitialR, ws, opts)
-		})
-		if r != nil && cert.SpectralRadius >= 1 {
-			// A warm iterate can converge to a non-minimal solution of the
-			// quadratic equation (sp ≥ 1 despite a clean residual). That is
-			// a wrong answer for a drift-stable process, not an instability
-			// verdict: discard it and let the cold ladder decide.
-			path[len(path)-1] = rungWarm + ": rejected (sp ≥ 1)"
-			rungs = append(rungs, fmt.Errorf("%s: spectral bound %g ≥ 1", rungWarm, cert.SpectralRadius))
-			r, cert = nil, nil
-		}
-	}
-	if r == nil && !canceled && opts.Newton && n >= opts.NewtonMinOrder {
+	if opts.Newton && n >= opts.NewtonMinOrder {
 		// Newton rung: always certified, even on the raw entry points
 		// where the rest of the ladder runs uncertified — an early-stopped
 		// quadratic iteration's truncation error must be judged, never
 		// assumed. A rejection is recorded in the path and the unchanged
-		// cold ladder decides.
+		// classical ladder decides.
 		ntol := certTol
 		if ntol == nil {
 			dt := certify.DefaultTolerances()
@@ -591,55 +535,6 @@ func rFromG(id *matrix.Dense, b0 matrix.BlockOp, d1, g *matrix.Dense, ws *matrix
 	ws.Put(m, inv)
 	ws.PutLU(lu)
 	return r, nil
-}
-
-// warmIterationR continues the traffic-based fixed point
-// R ← D₀·(I − D₁ − R·D₂)⁻¹ from a caller-supplied initial iterate. The
-// map is stationary at the minimal solution, and its linear convergence
-// factor is strictly smaller than the classical substitution map's
-// (Latouche & Ramaswami §8), so a nearby warm iterate — the previous
-// fixed-point round's R, or the converged R of an adjacent sweep trial —
-// finishes in a handful of steps where the cold rungs rebuild R from
-// nothing. The result is certified by the caller like every other rung;
-// a contaminated or divergent warm guess just drops the ladder to the
-// cold rungs.
-func warmIterationR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, init *matrix.Dense, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
-	n := d1.Rows()
-	r := matrix.New(n, n) // freshly allocated: R escapes on success
-	r.CopyFrom(init)
-	u, inv, next := ws.Get(n, n), ws.Get(n, n), ws.Get(n, n)
-	lu := ws.GetLU(n)
-	cleanup := func() {
-		ws.Put(u, inv, next)
-		ws.PutLU(lu)
-	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		if err := iterTick(&opts, iter); err != nil {
-			cleanup()
-			return nil, iter, err
-		}
-		b2.MulFromLeftTo(u, r)
-		matrix.AddTo(u, d1, u)
-		matrix.DiffTo(u, id, u) // I − D₁ − R·D₂
-		if err := lu.Reset(u); err != nil {
-			cleanup()
-			return nil, iter, fmt.Errorf("qbd: warm iteration: I − D₁ − R·D₂ singular: %w", err)
-		}
-		lu.InverseTo(inv)
-		b0.MulDenseTo(next, inv)
-		diff := matrix.MaxAbsDiff(next, r)
-		if math.IsNaN(diff) {
-			cleanup()
-			return nil, iter + 1, errors.New("qbd: warm iteration contaminated (NaN iterate)")
-		}
-		r.CopyFrom(next)
-		if diff < opts.Tol {
-			cleanup()
-			return r, iter + 1, nil
-		}
-	}
-	cleanup()
-	return nil, opts.MaxIter, matrix.ErrNoConverge
 }
 
 // successiveSubstitution iterates R ← (D₀ + R²·D₂)·(I − D₁)⁻¹ from R = 0.

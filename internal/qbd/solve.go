@@ -52,7 +52,7 @@ func Solve(p *Process, opts RMatrixOptions) (*Solution, error) {
 	opts = opts.withDefaults()
 	ws := opts.workspace()
 	opts.Workspace = ws
-	tol := opts.certTol()
+	tol := certify.DefaultTolerances()
 	r, cert, err := rMatrixLadder(p.A0, p.A1, p.A2, opts, &tol)
 	if err != nil {
 		return nil, err

@@ -12,26 +12,22 @@ import (
 	"repro/internal/sweep"
 )
 
-// The serving benchmarks measure the three answer paths a request can
+// The serving benchmarks measure the two answer paths a request can
 // take, full HTTP round trip included (loopback httptest listener):
 //
-//   - ServeSolveCold: every request is a never-seen scenario on a
-//     cold-session pool — the floor, one full cold-ladder solve each.
-//   - ServeSolveWarm: never-seen scenarios on a warm shard — same
+//   - ServeSolveWarm: never-seen scenarios on a primed shard — same
 //     structural signature every time, so the session refills chains in
-//     place and warm-starts R from the previous request's iterate.
+//     place; one full fixed-point solve each.
 //   - ServeSolveCacheHit: the identical scenario repeatedly — served
 //     from the memo tier with zero solver calls; this is the HTTP,
 //     JSON and store overhead by itself.
 //
-// Each iteration uses a distinct lambda (golden-ratio low-discrepancy
-// walk over a stable band) so cold/warm runs can never accidentally hit
-// the answer store.
+// Each solve iteration uses a distinct lambda (golden-ratio
+// low-discrepancy walk over a stable band) so it can never accidentally
+// hit the answer store.
 
-// benchScenario is the staged-pipeline benchmark's two-class system
-// (P=4, order-2 phases via SCV 2 arrivals) so the serving numbers are
-// comparable with the committed BENCH_pipeline.json baseline; lambda
-// sweeps class 0.
+// benchScenario is a two-class system (P=4, order-2 phases via SCV 2
+// arrivals); lambda sweeps class 0.
 func benchScenario(lambda float64) sweep.Scenario {
 	return sweep.Scenario{
 		Processors: 4,
@@ -52,10 +48,9 @@ func benchBody(lambda float64) []byte {
 
 // benchLambda is the i-th point of a golden-ratio walk over the narrow
 // band [0.40, 0.45): deterministic and never repeating (so no request
-// can hit the answer store), yet each point is close to the last — the
-// serving workload warm shards are for, where consecutive requests
-// explore a neighborhood and R barely moves between them. The band is
-// comfortably stable (rho = lambda/2 < 0.23).
+// can hit the answer store), yet each point is close to the last — a
+// serving workload whose consecutive requests explore a neighborhood.
+// The band is comfortably stable (rho = lambda/2 < 0.23).
 func benchLambda(i int) float64 {
 	const phi = 0.6180339887498949
 	frac := math.Mod(float64(i)*phi, 1)
@@ -89,17 +84,9 @@ func benchPost(b *testing.B, hs *httptest.Server, body []byte) {
 	}
 }
 
-func BenchmarkServeSolveCold(b *testing.B) {
-	hs := newBenchServer(b, Config{ColdSessions: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchPost(b, hs, benchBody(benchLambda(i)))
-	}
-}
-
 func BenchmarkServeSolveWarm(b *testing.B) {
 	hs := newBenchServer(b, Config{})
-	// Prime the shard so iteration 0 already warm-starts.
+	// Prime the shard so iteration 0 already refills its chains.
 	benchPost(b, hs, benchBody(0.19))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -42,8 +42,8 @@ var breakerStateNames = [...]string{"closed", "open", "half-open"}
 // breaker is one shard's failure containment: it watches the stream of
 // countable solve outcomes (config, deadline and drain errors are the
 // request's or the client's fault and never count) and cuts traffic to a
-// shard that keeps failing, giving it a cooldown and a cold session
-// rebuild before probing it back into service.
+// shard that keeps failing, giving it a cooldown and a fresh session
+// before probing it back into service.
 //
 // allow runs on caller goroutines (dispatch), report on the shard
 // worker; the mutex makes both safe. now is injectable for tests.
@@ -125,7 +125,7 @@ func (b *breaker) cancelProbe() {
 
 // report feeds one countable outcome into the state machine and returns
 // tripped=true when this failure opened the breaker — the worker's cue
-// to discard the warm session and rebuild cold.
+// to discard the session and start a fresh one.
 func (b *breaker) report(failed bool) (tripped bool) {
 	if b == nil || b.threshold <= 0 {
 		return false

@@ -35,7 +35,7 @@ type metrics struct {
 	trialSolves atomic.Int64
 	// rungs counts certified ladder-rung outcomes across all served
 	// solves, keyed "rung|outcome" from the certificates' Path entries
-	// ("warm: uncertified", "newton: ok", "logreduction: ok", ...).
+	// ("newton: uncertified", "logreduction: ok", ...).
 	rungMu sync.Mutex
 	rungs  map[string]*atomic.Int64
 
@@ -144,9 +144,8 @@ func (m *metrics) cacheHit(tier string) {
 
 // write renders the exposition: request counters, cache/coalesce/shed
 // counters, resilience counters (panics, breaker transitions and
-// states, disk-cache recovery), the live pipeline counters, the warm
-// acceptance rate, store gauges, and the latency histograms. Output
-// order is deterministic.
+// states, disk-cache recovery), the live pipeline counters, store
+// gauges, and the latency histograms. Output order is deterministic.
 func (m *metrics) write(w io.Writer, pipeline core.Counters, memoLen, diskLen int,
 	breakerStates []string, rec sweep.CacheRecovery) {
 	fmt.Fprintf(w, "# HELP gangserved_requests_total Finished requests by endpoint and status code.\n")
@@ -254,19 +253,9 @@ func (m *metrics) write(w io.Writer, pipeline core.Counters, memoLen, diskLen in
 		{"refills", pipeline.Refills},
 		{"solves", pipeline.Solves},
 		{"r_iterations", pipeline.RIterations},
-		{"warm_solves", pipeline.WarmSolves},
-		{"cold_solves", pipeline.ColdSolves},
-		{"warm_accepted", pipeline.WarmAccepted},
 	} {
 		fmt.Fprintf(w, "gangserved_pipeline_total{stage=%q} %d\n", kv.stage, kv.v)
 	}
-	fmt.Fprintf(w, "# HELP gangserved_warm_acceptance_rate Fraction of warm-started QBD solves whose warm rung certified.\n")
-	fmt.Fprintf(w, "# TYPE gangserved_warm_acceptance_rate gauge\n")
-	rate := 0.0
-	if pipeline.WarmSolves > 0 {
-		rate = float64(pipeline.WarmAccepted) / float64(pipeline.WarmSolves)
-	}
-	fmt.Fprintf(w, "gangserved_warm_acceptance_rate %g\n", rate)
 
 	fmt.Fprintf(w, "# HELP gangserved_store_entries Answers held per store tier.\n")
 	fmt.Fprintf(w, "# TYPE gangserved_store_entries gauge\n")

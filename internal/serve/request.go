@@ -19,8 +19,8 @@ import (
 type SolveRequest struct {
 	Scenario sweep.Scenario `json:"scenario"`
 	// Method is "analytic" (default when empty) or "heavy". The
-	// simulation and exact2 methods are batch-only: they carry no
-	// warm-startable state, so they stay on the sweep endpoint.
+	// simulation and exact2 methods are batch-only: they gain nothing
+	// from a shard's session, so they stay on the sweep endpoint.
 	Method sweep.Method      `json:"method,omitempty"`
 	Solve  sweep.SolveParams `json:"solve,omitempty"`
 	// AllowDegraded opts this request into a 200 with "degraded":true —
@@ -89,9 +89,9 @@ func (r *SolveRequest) validate() error {
 }
 
 // SweepRequest is the wire format of POST /v1/sweep: a full declarative
-// sweep spec plus execution policy. Sweeps run cold (no warm-start) on
-// the shared answer store, so their artifacts stay byte-identical to a
-// gangsweep batch run of the same spec.
+// sweep spec plus execution policy. Sweeps run on the shared answer
+// store, and their artifacts are byte-identical to a gangsweep batch run
+// of the same spec.
 type SweepRequest struct {
 	Spec sweep.Spec `json:"spec"`
 	// Workers caps the sweep worker pool (further capped by the server's
@@ -132,8 +132,7 @@ type ClassAnswer struct {
 	// of a certified analytic solve.
 	Degraded bool `json:"degraded,omitempty"`
 	// Certificate is the class's machine-checkable validity record; its
-	// Path records the fallback ladder, including the warm-start rung
-	// when the shard's session seeded the solve.
+	// Path records the fallback ladder.
 	Certificate *certify.Certificate `json:"certificate,omitempty"`
 	// Error and Kind carry a failed class's typed failure when the
 	// request opted into degradation.
@@ -164,18 +163,18 @@ type SolveResponse struct {
 	// Coalesced marks a request that joined an identical in-flight solve
 	// instead of triggering its own.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Shard is the warm-session worker that produced the answer;
+	// Shard is the session worker that produced the answer;
 	// requests with equal structural signatures always report the same
 	// shard.
 	Shard int `json:"shard"`
 	// Counters are the solver-pipeline statistics of this solve (zero
-	// for cached answers): chain builds vs refills, warm vs cold QBD
-	// solves, R iterations.
+	// for cached answers): chain builds vs refills, QBD solves, R
+	// iterations.
 	Counters      core.Counters `json:"counters"`
 	ElapsedMillis int64         `json:"elapsedMillis"`
 
 	// values is the solve's sweep-cache value map, what the disk tier
-	// stores for a cold answer; nil for a rehydrated one.
+	// stores for a healthy answer; nil for a rehydrated one.
 	values map[string]float64
 }
 

@@ -104,9 +104,7 @@ func multiClassScenario(k int, lambda float64) sweep.Scenario {
 // within one cancellation-poll interval instead of finishing the budget.
 func TestDeadlineInterruptsSolveMidIteration(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	// Cold sessions: both passes must run the same cold ladder (a warm
-	// start would shortcut the second solve and skew the comparison).
-	_, hs := newTestServer(t, Config{Shards: 1, ColdSessions: true})
+	_, hs := newTestServer(t, Config{Shards: 1})
 
 	// Force a deep solve: NaN-contaminate the first (quadratically
 	// convergent) rung so the linearly convergent substitution rung runs
@@ -329,14 +327,14 @@ func TestBreakerStateMachine(t *testing.T) {
 
 // TestBreakerTripsAndRecovers is the end-to-end circuit: consecutive
 // solver failures trip the shard, tripped traffic is rejected up front
-// with a typed 503 + Retry-After, the warm session is rebuilt cold, and
-// after the cooldown a successful probe re-closes the breaker.
+// with a typed 503 + Retry-After, the session is replaced by a fresh
+// one, and after the cooldown a successful probe re-closes the breaker.
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	_, hs := newTestServer(t, Config{
 		Shards: 1, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
 	})
-	// Prime the shard with a healthy solve so it holds warm state.
+	// Prime the shard with a healthy solve so it holds built chains.
 	if code, _ := solve(t, hs, SolveRequest{Scenario: testScenario(0.41)}); code != http.StatusOK {
 		t.Fatalf("prime failed: %d", code)
 	}
@@ -378,17 +376,17 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	// Heal the fault, let the cooldown pass: the next request is the
 	// half-open probe; its success re-closes the breaker, and the probe
-	// ran on a recycled (cold) session — the poisoned warm state is gone.
+	// ran on a recycled session — the old session's chains are gone.
 	faultinject.Reset()
 	time.Sleep(60 * time.Millisecond)
 	code, sr := solve(t, hs, SolveRequest{Scenario: testScenario(0.45)})
 	if code != http.StatusOK || !sr.Converged {
 		t.Fatalf("probe failed: %d %+v", code, sr)
 	}
-	// A resolve that began from retained warm state runs every round
-	// warm (ColdSolves 0); the recycled session must start cold.
-	if sr.Counters.ColdSolves == 0 {
-		t.Fatalf("probe warm-started from the discarded session: %+v", sr.Counters)
+	// A same-structure solve on the primed session would refill every
+	// chain; the recycled session must build them.
+	if sr.Counters.Builds == 0 {
+		t.Fatalf("probe reused the discarded session's chains: %+v", sr.Counters)
 	}
 	m = scrapeMetrics(t, hs)
 	if m[`gangserved_breaker_state{shard="0"}`] != 0 {
@@ -398,11 +396,11 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		m[`gangserved_breaker_transitions_total{shard="0",to="closed"}`] != 1 {
 		t.Fatal("recovery transitions not counted")
 	}
-	// And the shard warm-starts again on the next same-structure solve:
-	// every round continues from the probe's converged R.
+	// And the shard reuses structure again on the next same-structure
+	// solve: every chain refills the probe's.
 	code, sr = solve(t, hs, SolveRequest{Scenario: testScenario(0.46)})
-	if code != http.StatusOK || sr.Counters.ColdSolves != 0 {
-		t.Fatalf("shard not warm after recovery: %d %+v", code, sr.Counters)
+	if code != http.StatusOK || sr.Counters.Builds != 0 {
+		t.Fatalf("shard rebuilt chains after recovery: %d %+v", code, sr.Counters)
 	}
 }
 
@@ -558,39 +556,5 @@ func TestArmOnceConcurrentShardWorkers(t *testing.T) {
 	// The hook disarmed itself: a fresh request sails through.
 	if code, _ := solve(t, hs, SolveRequest{Scenario: testScenario(0.81)}); code != http.StatusOK {
 		t.Fatalf("hook leaked past its once-firing: %d", code)
-	}
-}
-
-// TestWarmStateDiscardedAfterFailure: a shard whose solve fails without
-// converging must not warm-start the next solve from the failed
-// iterate (warm-state poisoning protection in core.Session).
-func TestWarmStateDiscardedAfterFailure(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	_, hs := newTestServer(t, Config{Shards: 1})
-	// Prime warm state, prove it is used.
-	if code, _ := solve(t, hs, SolveRequest{Scenario: testScenario(0.55)}); code != http.StatusOK {
-		t.Fatal("prime failed")
-	}
-	code, sr := solve(t, hs, SolveRequest{Scenario: testScenario(0.56)})
-	if code != http.StatusOK || sr.Counters.ColdSolves != 0 {
-		t.Fatalf("cross-request warm start not engaged: %+v", sr.Counters)
-	}
-	// A numeric failure poisons the retained R: the session must drop it
-	// and run the next solve cold. The fault stays armed for the whole
-	// request so every ladder rung fails and the solve errors out.
-	faultinject.Arm("qbd.iter", func(any) error {
-		return &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "test",
-			Err: fmt.Errorf("injected contamination")}
-	})
-	if code, _ := solve(t, hs, SolveRequest{Scenario: testScenario(0.57)}); code == http.StatusOK {
-		t.Fatal("contaminated solve served 200")
-	}
-	faultinject.Reset()
-	code, sr = solve(t, hs, SolveRequest{Scenario: testScenario(0.58)})
-	if code != http.StatusOK {
-		t.Fatalf("post-failure solve: %d", code)
-	}
-	if sr.Counters.ColdSolves == 0 {
-		t.Fatalf("solve after contamination warm-started from the poisoned R: %+v", sr.Counters)
 	}
 }

@@ -10,10 +10,11 @@
 // certificates, over the PR 1 content-addressed sweep cache shared with
 // gangsweep batch runs. Identical in-flight solves coalesce
 // singleflight-style into one solver call. What remains lands on a pool
-// of warm core.Session workers sharded by structural signature —
-// requests building the same state space always hit the same shard, so
-// its session refills generators in place and warm-starts each R solve
-// from the shard's last converged iterate, exactly the PR 4 machinery.
+// of core.Session workers sharded by structural signature — requests
+// building the same state space always hit the same shard, so its
+// session refills generators in place instead of rebuilding them. A
+// session solve is bit-for-bit the one-shot solve, so a served answer
+// depends only on the request.
 //
 // Every served result carries its certify.Certificate, and the failure
 // taxonomy maps onto HTTP statuses (ErrConfig→400, ErrNotConverged→422,
@@ -39,15 +40,12 @@ import (
 )
 
 // Config sizes and gates the server. The zero value serves: all-core
-// shards, warm starts on, 1 MiB bodies, 30 s request deadline, no
-// admission limit, no disk cache, degradation off.
+// shards, 1 MiB bodies, 30 s request deadline, no admission limit, no
+// disk cache, degradation off.
 type Config struct {
-	// Shards is the number of warm solver workers; requests route to
-	// them by structural signature. 0 means GOMAXPROCS.
+	// Shards is the number of solver workers; requests route to them by
+	// structural signature. 0 means GOMAXPROCS.
 	Shards int
-	// ColdSessions disables warm-start continuation (sessions still
-	// reuse chain structure). The serving benchmark's A/B lever.
-	ColdSessions bool
 	// Rate and Burst configure the admission token bucket in requests
 	// per second; Rate 0 disables admission control.
 	Rate  float64
@@ -80,7 +78,7 @@ type Config struct {
 	// BreakerThreshold is the number of consecutive countable solve
 	// failures (config, deadline and cancellation never count) that trips
 	// a shard's circuit breaker: traffic to the shard is rejected with a
-	// typed 503 while its warm session is discarded and rebuilt cold.
+	// typed 503 while its session is discarded and rebuilt.
 	// Default 5; negative disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is how long a tripped shard stays open before one
@@ -150,7 +148,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	met := newMetrics()
-	p, err := newPool(cfg.Shards, !cfg.ColdSessions, cfg.SolveParallel,
+	p, err := newPool(cfg.Shards, cfg.SolveParallel,
 		cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.breakerNow, met.breakerTransition)
 	if err != nil {
 		st.close()
@@ -277,12 +275,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		if resp.Converged && !resp.Degraded {
-			// The answer is healthy: memoize it, and share it with batch
-			// runs when a cold session produced it (WarmSolves == 0 means
-			// every QBD solve ran the cold ladder, so the values are
-			// bit-identical to a one-shot core.Solve).
-			cold := resp.Counters.WarmSolves == 0
-			if perr := s.store.put(key, resp, cold); perr != nil {
+			// The answer is healthy: memoize it and share it with batch
+			// runs.
+			if perr := s.store.put(key, resp); perr != nil {
 				// A full disk is the operator's problem, not the client's:
 				// the answer itself is intact.
 				fmt.Fprintln(os.Stderr, "gangserved: cache write:", perr)
@@ -338,8 +333,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMillis)
 	defer cancel()
-	// Sweeps run cold on purpose: cold results are cacheable and the
-	// artifacts stay byte-identical to a gangsweep batch run.
+	// The artifacts are byte-identical to a gangsweep batch run's.
 	opts := sweep.Options{
 		Name:          req.Spec.Name,
 		Workers:       workers,

@@ -40,12 +40,11 @@ type taskResult struct {
 // (possibly corrupted) session and keeps serving.
 var errShardPanic = errors.New("serve: solver panicked; shard session recycled")
 
-// shard is one warm solver worker: a goroutine owning a core.Session.
-// All requests with the same structural signature route to the same
-// shard, so the session's per-class chains refill in place and each
-// solve warm-starts from the shard's last converged R for that
-// structure. The session pointer is atomic because a panic or a breaker
-// trip replaces it while the /metrics scraper is summing counters.
+// shard is one solver worker: a goroutine owning a core.Session. All
+// requests with the same structural signature route to the same shard,
+// so the session's per-class chains refill in place. The session
+// pointer is atomic because a panic or a breaker trip replaces it while
+// the /metrics scraper is summing counters.
 type shard struct {
 	id    int
 	tasks chan *task
@@ -56,13 +55,13 @@ type shard struct {
 // session returns the shard's live session.
 func (sh *shard) session() *core.Session { return sh.ses.Load() }
 
-// recycle replaces the shard's session with a fresh cold one — after a
-// panic (the old session's internals may be torn mid-update) or a
-// breaker trip (its warm state is implicated in the failure streak).
+// recycle replaces the shard's session with a fresh one — after a panic
+// (the old session's internals may be torn mid-update) or a breaker
+// trip (its state is implicated in the failure streak).
 // The retired session's counters move to the pool accumulator so the
 // /metrics pipeline totals stay monotone.
 func (sh *shard) recycle(p *pool) {
-	ses, err := core.NewSession(core.SolveOptions{WarmStart: p.warm, Parallel: p.parallel})
+	ses, err := core.NewSession(core.SolveOptions{Parallel: p.parallel})
 	if err != nil {
 		// Cannot happen: the same options built the original session.
 		return
@@ -79,7 +78,6 @@ func (sh *shard) recycle(p *pool) {
 // being closed.
 type pool struct {
 	shards   []*shard
-	warm     bool
 	parallel int // intra-solve per-class parallelism, core.SolveOptions.Parallel
 	mu       sync.RWMutex
 	closed   bool
@@ -98,20 +96,18 @@ type pool struct {
 	onSolved        func(*SolveResponse)
 }
 
-// newPool starts n shard workers. warm=false runs every solve cold
-// (sessions still reuse chain structure; only the R warm-start is off) —
-// the A/B lever the serving benchmark uses. parallel is each solve's
-// per-class dispatch width (core.SolveOptions.Parallel): shards are the
+// newPool starts n shard workers. parallel is each solve's per-class
+// dispatch width (core.SolveOptions.Parallel): shards are the
 // serving layer's primary parallelism axis, so the usual setting is 1;
 // a wide solve on a lightly sharded deployment is the opposing lever.
 // brkThreshold/brkCooldown configure each shard's circuit breaker
 // (threshold ≤ 0 disables); now is the breaker clock (nil = time.Now)
 // and onBreaker its transition hook, both injectable for tests.
-func newPool(n int, warm bool, parallel int, brkThreshold int, brkCooldown time.Duration,
+func newPool(n int, parallel int, brkThreshold int, brkCooldown time.Duration,
 	now func() time.Time, onBreaker func(shardID, from, to int)) (*pool, error) {
-	p := &pool{warm: warm, parallel: parallel}
+	p := &pool{parallel: parallel}
 	for i := 0; i < n; i++ {
-		ses, err := core.NewSession(core.SolveOptions{WarmStart: warm, Parallel: parallel})
+		ses, err := core.NewSession(core.SolveOptions{Parallel: parallel})
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +137,7 @@ func newPool(n int, warm bool, parallel int, brkThreshold int, brkCooldown time.
 // and answers a typed 500. Countable failures (anything that is not the
 // request's own fault — config — or the client's clock — deadline,
 // cancellation) feed the breaker; a trip also recycles the session so
-// the next admitted task starts from a cold ladder.
+// the next admitted task starts from a fresh session.
 func runTask(p *pool, sh *shard, tk *task) taskResult {
 	if tk.ctx.Err() != nil {
 		// The waiter is already gone; don't burn solver time on it.
@@ -225,7 +221,7 @@ func responseFromOutcome(t sweep.Trial, out sweep.Outcome) *SolveResponse {
 // failureCounts reports whether an error is evidence against the shard:
 // config errors are the request's fault, deadline/cancellation the
 // client's clock, drain the server's own choice — none says the shard's
-// solver or warm state is sick.
+// solver or session state is sick.
 func failureCounts(err error) bool {
 	switch {
 	case errors.Is(err, certify.ErrConfig),
@@ -240,7 +236,7 @@ func failureCounts(err error) bool {
 
 // shardFor routes a trial to its home shard: an FNV-1a hash of the
 // structural signature, so equal-structure requests always share a
-// session and its warm state.
+// session and its built chains.
 func (p *pool) shardFor(t sweep.Trial) int {
 	h := fnv.New32a()
 	h.Write([]byte(sweep.StructuralKey(t)))

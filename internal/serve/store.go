@@ -10,15 +10,13 @@ import (
 // store is the server's two-tier content-addressed answer store.
 //
 // The memo tier holds full SolveResponses — certificates and all — for
-// every healthy answer this process produced, warm or cold. The disk
-// tier is a PR 1 sweep.Cache shared with gangsweep batch runs: the
-// server always reads it (a sweep's cold trial answers requests for the
-// same parameters with zero solver calls), but writes only cold-session
-// answers to it. Warm-started results are certified yet may differ from
-// a cold solve within the certification tolerance, and the sweep cache's
-// contract is "cold-certified values only" — that is what keeps cold
-// sweep artifacts byte-identical whether or not a daemon shared the
-// cache directory.
+// every healthy answer this process produced. The disk tier is a PR 1
+// sweep.Cache shared with gangsweep batch runs, read and written both
+// ways: a sweep's trial answers requests for the same parameters with
+// zero solver calls, and a served answer answers the sweep's trial. A
+// served solve runs the default ladder through a session, which is
+// bit-for-bit the one-shot solve, so sweep artifacts stay byte-identical
+// whether or not a daemon shared the cache directory.
 type store struct {
 	mu   sync.Mutex
 	memo map[string]*SolveResponse
@@ -69,16 +67,15 @@ func (s *store) get(key string, method sweep.Method) (*SolveResponse, string, bo
 	return responseFromValues(key, method, values), "disk", true
 }
 
-// put stores a healthy answer. coldCertified additionally writes the
-// values to the shared disk tier — only ever true for answers a cold
-// session produced.
-func (s *store) put(key string, resp *SolveResponse, coldCertified bool) error {
+// put stores a healthy answer in the memo and, when attached, the
+// shared disk tier.
+func (s *store) put(key string, resp *SolveResponse) error {
 	s.mu.Lock()
 	if _, ok := s.memo[key]; !ok && len(s.memo) < s.cap {
 		s.memo[key] = resp
 	}
 	s.mu.Unlock()
-	if coldCertified && s.disk != nil {
+	if s.disk != nil {
 		return s.disk.Put(key, resp.values)
 	}
 	return nil

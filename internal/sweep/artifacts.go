@@ -146,9 +146,8 @@ func (r *Run) Summary() string {
 	fmt.Fprintf(&b, "  executed %d, cache hits %d (%.0f%%), errors %d, degraded %d, panics %d, retries %d, canceled %d\n",
 		m.Executed, m.CacheHits, 100*m.CacheHitRate, m.Errors, m.Degraded, m.Panics, m.Retries, m.Canceled)
 	if p := m.Pipeline; p != nil && p.Solves > 0 {
-		fmt.Fprintf(&b, "  pipeline: %d builds, %d refills, %d QBD solves (%d warm, %d accepted), %.1f R iterations/solve\n",
-			p.Builds, p.Refills, p.Solves, p.WarmSolves, p.WarmAccepted,
-			float64(p.RIterations)/float64(p.Solves))
+		fmt.Fprintf(&b, "  pipeline: %d builds, %d refills, %d QBD solves, %.1f R iterations/solve\n",
+			p.Builds, p.Refills, p.Solves, float64(p.RIterations)/float64(p.Solves))
 	}
 	return b.String()
 }

@@ -66,44 +66,3 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 	}
 	benchRun(b, runtime.GOMAXPROCS(0), cache)
 }
-
-// benchPipeline runs the 64-trial grid on one worker, cold or with
-// warm-started sessions, and reports both throughput and the mean
-// R-matrix iteration count per QBD solve from the manifest's pipeline
-// counters. One worker keeps the comparison free of scheduling noise:
-// the only difference between the two benchmarks is the warm path.
-func benchPipeline(b *testing.B, warm bool) {
-	b.Helper()
-	trials, err := benchSpec().Expand()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last *Run
-	for i := 0; i < b.N; i++ {
-		run, rerr := RunTrials(context.Background(), trials, Options{Workers: 1, WarmStart: warm})
-		if rerr != nil {
-			b.Fatal(rerr)
-		}
-		if run.Manifest.Errors+run.Manifest.Panics > 0 {
-			b.Fatalf("bench grid failed: %+v", run.Manifest)
-		}
-		last = run
-	}
-	b.ReportMetric(float64(len(trials))*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-	if p := last.Manifest.Pipeline; p != nil && p.Solves > 0 {
-		b.ReportMetric(float64(p.RIterations)/float64(p.Solves), "Riters/solve")
-		b.ReportMetric(float64(p.Refills), "refills")
-		b.ReportMetric(float64(p.WarmAccepted), "warmaccepted")
-	}
-}
-
-// BenchmarkPipelineCold is the staged pipeline without warm starts:
-// every QBD solve runs the cold ladder (byte-identical artifacts).
-func BenchmarkPipelineCold(b *testing.B) { benchPipeline(b, false) }
-
-// BenchmarkPipelineWarm reorders trials for locality and threads a
-// reusable warm-start session through the worker; compare Riters/solve
-// and trials/s against BenchmarkPipelineCold.
-func BenchmarkPipelineWarm(b *testing.B) { benchPipeline(b, true) }

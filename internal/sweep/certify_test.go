@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -262,6 +263,50 @@ func TestWorkerKilledMidTrial(t *testing.T) {
 	defer reopened.Close()
 	if reopened.Len() != 2 {
 		t.Fatalf("reopened cache has %d entries, want 2", reopened.Len())
+	}
+}
+
+// TestPanicReplacesWorkerSession: a panic mid-solve may leave the
+// worker's session torn, so the worker replaces it. The trial after the
+// panic builds its chains afresh instead of refilling the torn ones, and
+// its values equal a clean run's bit for bit.
+func TestPanicReplacesWorkerSession(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	// One class, so a same-structure resolve refills every chain.
+	var trials []Trial
+	for i := 0; i < 3; i++ {
+		sc := Scenario{Processors: 2, Classes: []ClassSpec{{
+			Partition: 1, Lambda: 0.3 + 0.1*float64(i), Mu: 1, QuantumMean: 1, OverheadMean: 0.01,
+		}}}
+		trials = append(trials, Trial{Scenario: sc, Method: MethodAnalytic})
+	}
+	clean, err := RunTrials(context.Background(), trials, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := clean.Results[2].Counters; c.Builds != 0 || c.Refills == 0 {
+		t.Fatalf("clean run: third trial should refill the session's chains: %+v", c)
+	}
+	opts := Options{Workers: 1, Progress: func(done, _ int, _ TrialResult) {
+		if done == 1 {
+			// The second trial panics in its first R iteration, after its
+			// chains were refilled.
+			faultinject.ArmOnce("qbd.iter", func(any) error { panic("injected mid-solve panic") })
+		}
+	}}
+	run, err := RunTrials(context.Background(), trials, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Results[1].Status != StatusPanic {
+		t.Fatalf("second trial → %q, want panic", run.Results[1].Status)
+	}
+	r := run.Results[2]
+	if r.Status != StatusOK || r.Counters.Builds == 0 {
+		t.Fatalf("trial after the panic ran on the old session: %q %+v", r.Status, r.Counters)
+	}
+	if !reflect.DeepEqual(r.Values, clean.Results[2].Values) {
+		t.Fatalf("values after the panic %v, clean run %v", r.Values, clean.Results[2].Values)
 	}
 }
 

@@ -79,11 +79,10 @@ type Outcome struct {
 // method) are certify.ErrConfig and never retried; fixed-point
 // non-convergence is certify.ErrNotConverged and retried with an
 // escalated budget; numeric contamination is
-// certify.ErrNumericContaminated. A non-nil ses routes analytic and
-// heavy-traffic solves through the caller's reusable session, which
-// warm-starts them when it was created with WarmStart; other methods
-// ignore it. Exec does not recover panics: the sweep runner and
-// gangserved's shards each contain them their own way.
+// certify.ErrNumericContaminated. Analytic and heavy-traffic solves
+// resolve through the caller's session ses, which must be non-nil for
+// them; other methods ignore it. Exec does not recover panics: the
+// sweep runner and gangserved's shards each contain them their own way.
 func Exec(t Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
 	out, err := execute(t, pol, ses)
 	if err != nil {
@@ -126,18 +125,11 @@ var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) 
 		}
 		copts.RMatrix.Ctx = pol.Ctx
 		copts.RMatrix.Newton = pol.Newton
-		var res *core.Result
-		var serr error
-		switch {
-		case ses != nil && t.Method == MethodHeavy:
-			res, serr = ses.ResolveHeavyTraffic(m, copts)
-		case ses != nil:
-			res, serr = ses.ResolveWith(m, copts)
-		case t.Method == MethodHeavy:
-			res, serr = core.SolveHeavyTraffic(m, copts)
-		default:
-			res, serr = core.Solve(m, copts)
+		resolve := ses.ResolveWith
+		if t.Method == MethodHeavy {
+			resolve = ses.ResolveHeavyTraffic
 		}
+		res, serr := resolve(m, copts)
 		allUnstable := errors.Is(serr, core.ErrAllUnstable)
 		failed := failedClasses(res)
 		if serr != nil && !allUnstable && len(failed) == 0 {

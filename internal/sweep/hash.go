@@ -35,6 +35,36 @@ func (t Trial) Key() string {
 	return hashJSON(h)
 }
 
+// StructuralKey fingerprints everything about a trial that determines
+// its solver structure — method, processors, partitioning, distribution
+// shapes (SCVs), batch support — with the rates-only parameters
+// (lambda, mu, quantum/overhead means, batch probabilities) zeroed out.
+// Trials with equal keys build identical state spaces, so a session can
+// refill their generators in place; keying on the SCVs is conservative
+// (distinct SCVs can fit the same phase order), which only costs reuse,
+// never correctness. Exported for internal/serve, which shards requests
+// onto sessions by this key.
+func StructuralKey(t Trial) string {
+	sc := t.Scenario.clone()
+	for i := range sc.Classes {
+		c := &sc.Classes[i]
+		c.Lambda, c.Mu, c.QuantumMean, c.OverheadMean = 0, 0, 0, 0
+		for j := range c.Batch {
+			c.Batch[j] = 0
+		}
+	}
+	b, err := json.Marshal(struct {
+		Method   Method
+		Scenario Scenario
+	}{t.Method, sc})
+	if err != nil {
+		// Scenario is plain data; Marshal cannot fail. Degrade to one
+		// group per method rather than panicking.
+		return string(t.Method)
+	}
+	return string(b)
+}
+
 // Hash fingerprints the whole spec (recorded in the run manifest).
 func (s *Spec) Hash() string { return hashJSON(s) }
 

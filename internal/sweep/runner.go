@@ -57,23 +57,13 @@ type Options struct {
 	// merge in class order — so cache keys and artifacts are identical
 	// whatever it is, and it is deliberately kept out of Trial hashing.
 	SolveParallel int
-	// WarmStart threads one reusable core.Session through each worker:
-	// trials are reordered by parameter distance within structural groups
-	// and each worker's session reuses chain structure and warm-starts
-	// R-matrix solves from the previous trial's iterate. Warm solutions
-	// are certified like cold ones but may differ from a cold solve
-	// within the certification tolerance, so warm results are never
-	// written to the cache and artifacts are not guaranteed byte-stable
-	// against cold runs. Off by default: cold runs are byte-identical to
-	// previous releases.
-	WarmStart bool
 	// Newton enables the Newton-class cyclic-reduction rung in each
 	// analytic trial's R-matrix ladder (qbd.RMatrixOptions.Newton), which
 	// pays off on large repeating blocks. Newton solutions are certified
 	// like every rung but may differ from the classical reduction within
-	// the certification tolerance, so — like warm results — they are never
-	// written to the cache; the cache stays a store of default-ladder
-	// values that any run mode can safely read.
+	// the certification tolerance, so they are never written to the
+	// cache; the cache stays a store of default-ladder values that any run
+	// mode can safely read.
 	Newton bool
 }
 
@@ -181,9 +171,9 @@ type Manifest struct {
 	WallMillis      int64   `json:"wallMillis"`
 	TrialsPerSec    float64 `json:"trialsPerSec"`
 	// Pipeline sums the per-trial solver-pipeline counters — chains built
-	// vs refilled in place, QBD solves, total R-matrix iterations, and
-	// the warm/cold/accepted split. Omitted when no analytic solver work
-	// ran (all-cached or all-simulation runs).
+	// vs refilled in place, QBD solves and total R-matrix iterations.
+	// Omitted when no analytic solver work ran (all-cached or
+	// all-simulation runs).
 	Pipeline *core.Counters `json:"pipeline,omitempty"`
 	// CacheRecovery reports what the disk cache's recovery-on-open had to
 	// repair (quarantined records, torn-tail bytes, legacy records).
@@ -215,9 +205,13 @@ func Execute(ctx context.Context, spec *Spec, opts Options) (*Run, error) {
 	return run, err
 }
 
-// RunTrials executes an explicit trial list on the worker pool. Results
-// are indexed like the input regardless of completion order. The only
-// error returned is ctx.Err() after cancellation or deadline — per-trial
+// RunTrials executes an explicit trial list on the worker pool. Workers
+// take trials from one shared queue, and each threads its own
+// core.Session through the trials it runs, so consecutive solves reuse
+// chain structure; a session solve is bit-for-bit the one-shot solve, so
+// results do not depend on which worker ran which trial. Results are
+// indexed like the input regardless of completion order. The only error
+// returned is ctx.Err() after cancellation or deadline — per-trial
 // failures (including panics) are isolated into their TrialResult.
 func RunTrials(ctx context.Context, trials []Trial, opts Options) (*Run, error) {
 	opts = opts.withDefaults()
@@ -236,48 +230,32 @@ func RunTrials(ctx context.Context, trials []Trial, opts Options) (*Run, error) 
 	}
 
 	var wg sync.WaitGroup
-	if opts.WarmStart {
-		// Warm path: a static, locality-ordered queue per worker, each
-		// threaded through its own reusable session.
-		for _, q := range warmQueues(trials, opts.Workers) {
-			wg.Add(1)
-			go func(q []int, ses *core.Session) {
-				defer wg.Done()
-				for _, i := range q {
-					select {
-					case <-ctx.Done():
-						return
-					default:
-					}
-					results[i] = runOne(ctx, trials[i], i, opts, ses)
-					report(i)
+	indices := make(chan int)
+	for w := 0; w < opts.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ses := newSession()
+			for i := range indices {
+				results[i] = runOne(ctx, trials[i], i, opts, ses)
+				if results[i].Status == StatusPanic {
+					// The panic may have torn the session mid-update.
+					ses = newSession()
 				}
-			}(q, newWarmSession())
-		}
-		wg.Wait()
-	} else {
-		indices := make(chan int)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range indices {
-					results[i] = runOne(ctx, trials[i], i, opts, nil)
-					report(i)
-				}
-			}()
-		}
-	feed:
-		for i := range trials {
-			select {
-			case indices <- i:
-			case <-ctx.Done():
-				break feed
+				report(i)
 			}
-		}
-		close(indices)
-		wg.Wait()
+		}()
 	}
+feed:
+	for i := range trials {
+		select {
+		case indices <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(indices)
+	wg.Wait()
 
 	// Mark trials never started (canceled before being fed).
 	for i := range results {
@@ -300,10 +278,7 @@ func RunTrials(ctx context.Context, trials []Trial, opts Options) (*Run, error) 
 // Retries pause under exponential backoff with deterministic per-trial
 // jitter; ctx cuts both the backoff sleep and (via ExecPolicy.Ctx) the
 // solver's iteration loops. An all-unstable or degraded outcome is
-// final, never retried. A non-nil ses is the worker's warm session;
-// results solved through it are never written back to the cache (the
-// cache stays a store of cold-certified values that any run mode can
-// safely read).
+// final, never retried. ses is the worker's session.
 func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Session) (r TrialResult) {
 	start := time.Now()
 	r = TrialResult{Index: index, Key: t.Key(), Method: t.Method, Point: t.Point}
@@ -391,7 +366,7 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 			return r
 		}
 		r.Status = StatusOK
-		if opts.Cache != nil && ses == nil && !opts.Newton {
+		if opts.Cache != nil && !opts.Newton {
 			if cerr := opts.Cache.Put(r.Key, out.Values); cerr != nil {
 				r.Err = cerr.Error() // persisted result lost, values intact
 			}
@@ -401,6 +376,16 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 }
 
 var errPanic = fmt.Errorf("sweep: trial panicked")
+
+// newSession builds a worker's session. The zero options always
+// validate, so NewSession cannot fail here.
+func newSession() *core.Session {
+	ses, err := core.NewSession(core.SolveOptions{})
+	if err != nil {
+		panic("sweep: " + err.Error())
+	}
+	return ses
+}
 
 // retryDelay is the pause before retry number n (n = 1 after the first
 // failed attempt): base·2^(n-1), scaled by a deterministic jitter factor

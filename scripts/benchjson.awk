@@ -187,19 +187,8 @@ END {
             printf "%s\"%s\": %.2f", (s > 1 ? ", " : ""), nvlk[s], nvlv[s]
         printf "}"
     }
-    cold = top["PipelineCold", "ns_per_op"]
-    warmp = top["PipelineWarm", "ns_per_op"]
-    if (cold > 0 && warmp > 0)
-        printf ",\n  \"pipeline_warm_speedup_vs_cold\": %.2f", cold / warmp
-    coldR = top["PipelineCold", "Riters_per_solve"]
-    warmR = top["PipelineWarm", "Riters_per_solve"]
-    if (coldR > 0 && warmR > 0)
-        printf ",\n  \"pipeline_warm_riter_ratio_vs_cold\": %.2f", warmR / coldR
-    scold = top["ServeSolveCold", "ns_per_op"]
     swarm = top["ServeSolveWarm", "ns_per_op"]
     shit = top["ServeSolveCacheHit", "ns_per_op"]
-    if (scold > 0 && swarm > 0)
-        printf ",\n  \"serve_warm_speedup_vs_cold\": %.2f", scold / swarm
     if (swarm > 0 && shit > 0)
         printf ",\n  \"serve_cachehit_speedup_vs_warm\": %.2f", swarm / shit
     gopanel = top["PanelKernel/n48/go", "ns_per_op"]
@@ -222,9 +211,7 @@ END {
         printf ",\n  \"note\": \"production-scale tier: repeating blocks of order ~1000-2000 built from structured operators (Kronecker arrivals/completions over a dense phase-churn A1), each solved by the classical logarithmic reduction and by the Newton cyclic-reduction rung; one iteration per variant, newton_vs_logreduction is the per-tier wall-time ratio (>1.0 = Newton faster)\""
     else if (live > 0)
         printf ",\n  \"note\": \"kernel baselines: RMatrix* solve the logarithmic-reduction R on small/medium/large block orders (Pre = vendored pre-change allocating kernel; RMatrixNewton/large re-solves the large tier with the Newton cyclic-reduction rung, compared in newton_vs_logreduction), ConvolveAll builds the Theorem 4.1 intervisit chain, SolveFixedPoint runs the Theorem 4.3 fixed point end to end\""
-    else if (cold > 0)
-        printf ",\n  \"note\": \"64-trial analytic grid on one worker: Cold runs the staged pipeline with the cold R ladder every solve, Warm reorders trials for locality and continues each class R from the previous iterate (certified post-hoc); Riters_per_solve is the mean R-matrix iteration count per QBD solve\""
-    else if (scold > 0)
-        printf ",\n  \"note\": \"full HTTP round trips through gangserved on one shard: Cold solves never-seen scenarios on cold sessions, Warm solves never-seen scenarios on a warm shard (chain refill + warm-started R), CacheHit serves the identical scenario from the memo tier with zero solver calls\""
+    else if (swarm > 0)
+        printf ",\n  \"note\": \"full HTTP round trips through gangserved on one shard: Warm solves never-seen scenarios on a primed shard (its session refills the chains in place), CacheHit serves the identical scenario from the memo tier with zero solver calls\""
     printf "\n}\n"
 }
