@@ -29,7 +29,7 @@ func DefaultTolerances() Tolerances {
 // holding only the certificate can re-audit the claim.
 //
 // TotalMass == 0 means the boundary-level checks were not performed (an
-// R-only certificate, e.g. from the fallback-ladder rung tests); a real
+// R-only certificate, e.g. from the ladder's rung tests); a real
 // stationary solve always has mass ≈ 1.
 type Certificate struct {
 	// Finite is false when any entry of R or the stationary vectors is
@@ -51,11 +51,13 @@ type Certificate struct {
 	// BoundaryCond estimates the ∞-norm condition number of the boundary
 	// linear system (from its reusable LU factorization).
 	BoundaryCond float64 `json:"boundaryCond,omitempty"`
-	// Iterations is the total iteration count spent across all fallback
+	// Iterations is the total iteration count spent across the ladder
 	// rungs attempted.
 	Iterations int `json:"iterations,omitempty"`
-	// Path records the fallback ladder: one "rung: outcome" entry per
-	// attempt, the last being the rung that produced the result.
+	// Path records the R ladder: one "rung: outcome" entry per attempt,
+	// the last being the rung that produced the result. Rungs are
+	// "newton" (only where RMatrixOptions.Newton enables it) and
+	// "logreduction", so a path has one or two entries.
 	Path []string `json:"path,omitempty"`
 	// Degraded marks a result that was *not* produced analytically — the
 	// class fell back to discrete-event simulation after every analytic
@@ -66,9 +68,9 @@ type Certificate struct {
 }
 
 // VerifyR checks the R-matrix-level invariants only: finiteness and the
-// fixed-point residual. Used between fallback-ladder rungs, where an
-// sp(R) ≥ 1 bound is a stability verdict (handled separately), not a
-// numerical failure.
+// fixed-point residual. Used to accept or reject each ladder rung's R,
+// where an sp(R) ≥ 1 bound is a stability verdict (handled separately),
+// not a numerical failure.
 func (c *Certificate) VerifyR() error {
 	if !c.Finite {
 		return &Failure{Kind: ErrNumericContaminated, Stage: "certificate", Err: errNonFinite}

@@ -62,7 +62,7 @@ var kinds = []error{ErrDeadline, ErrConfig, ErrDisagreement, ErrNumericContamina
 
 // Failure is a taxonomy error with diagnostics. Kind is one of the
 // package sentinels; Err is the underlying cause (possibly an
-// errors.Join of every fallback rung's failure). errors.Is sees both.
+// errors.Join of every ladder rung's failure). errors.Is sees both.
 type Failure struct {
 	Kind       error
 	Stage      string  // pipeline stage, e.g. "qbd.rmatrix" or "core.class[2]"

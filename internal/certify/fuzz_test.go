@@ -19,6 +19,14 @@ func FuzzRMatrixCertify(f *testing.F) {
 	f.Add(0.4, 0.1, 0.05, 0.3, 1.2, 0.9, 0.2, 1.1, 0.3, 0.2)
 	f.Add(2.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0)
 	f.Add(0.01, 0.5, 0.5, 0.01, 3.0, 0.1, 0.1, 3.0, 5.0, 5.0)
+	// Exactly critical generators (up = down drift in exact arithmetic,
+	// an ulp apart once rounded), on which logarithmic reduction ends on
+	// an all-NaN R that its sup-norm stop test, blind to NaN, accepts.
+	f.Add(2.0, 0.0, 0.0, 17.0, 18.0, 20.0, 0.0, 1.0, 2.5, 10.0)
+	f.Add(24.0, 28.0, 46.0, 2.0, 76.0, 1.0, 0.0, 1.0, 46.0, 95.0)
+	f.Add(0.2857142857142857, 6.0, 52.0, 28.0, 2.0, 26.0, 0.0, 4.0, 10.0, 95.0)
+	f.Add(53.0, 28.0, 0.0, 2.0, 45.0, 1.0, 85.0, 1.0, 46.0, 95.0)
+	f.Add(78.0, 0.0, 0.0, 2.0, 1.0, 1.0, 45.0, 71.0, 29.0, 0.0)
 	f.Fuzz(func(t *testing.T, a00, a01, a10, a11, d00, d01, d10, d11, u0, u1 float64) {
 		clampRate := func(v float64) float64 {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -76,13 +84,21 @@ func FuzzRMatrixCertify(f *testing.F) {
 // states — a certified finite R, or a typed failure. A Newton attempt
 // that diverges, hits a singular I−D₁ pivot, or contaminates its
 // iterates with NaN must be rejected by the in-ladder certification and
-// fall through to the classical rungs; NaN must never escape into a
+// fall through to logarithmic reduction; NaN must never escape into a
 // returned R, certified or not.
 func FuzzRMatrixNewton(f *testing.F) {
 	f.Add(0.4, 0.1, 0.05, 0.3, 1.2, 0.9, 0.2, 1.1, 0.3, 0.2)
 	f.Add(2.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0)
 	f.Add(0.01, 0.5, 0.5, 0.01, 3.0, 0.1, 0.1, 3.0, 5.0, 5.0)
 	f.Add(1e3, 1e-6, 1e-6, 1e3, 1e3, 0.0, 0.0, 1e3, 1e3, 1e3)
+	// Exactly critical generators (up = down drift in exact arithmetic,
+	// an ulp apart once rounded), on which logarithmic reduction ends on
+	// an all-NaN R that its sup-norm stop test, blind to NaN, accepts.
+	f.Add(2.0, 0.0, 0.0, 17.0, 18.0, 20.0, 0.0, 1.0, 2.5, 10.0)
+	f.Add(24.0, 28.0, 46.0, 2.0, 76.0, 1.0, 0.0, 1.0, 46.0, 95.0)
+	f.Add(0.2857142857142857, 6.0, 52.0, 28.0, 2.0, 26.0, 0.0, 4.0, 10.0, 95.0)
+	f.Add(53.0, 28.0, 0.0, 2.0, 45.0, 1.0, 85.0, 1.0, 46.0, 95.0)
+	f.Add(78.0, 0.0, 0.0, 2.0, 1.0, 1.0, 45.0, 71.0, 29.0, 0.0)
 	f.Fuzz(func(t *testing.T, a00, a01, a10, a11, d00, d01, d10, d11, u0, u1 float64) {
 		clampRate := func(v float64) float64 {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

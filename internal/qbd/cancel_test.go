@@ -3,14 +3,12 @@ package qbd
 import (
 	"context"
 	"errors"
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/certify"
 	"repro/internal/certify/faultinject"
-	"repro/internal/matrix"
 )
 
 // TestSolveCanceledContext: a context canceled before the solve starts
@@ -37,52 +35,43 @@ func TestSolveCanceledContext(t *testing.T) {
 
 // TestSolveDeadlineInterruptsMidIteration: with per-iteration latency
 // injected through the "qbd.iter" point, a deadline shorter than the
-// full solve stops the iteration within a handful of polls — the solver
-// does a small bounded amount of work past the deadline instead of
-// finishing the budget, and reports its partial progress. The
-// logreduction rung is quadratically convergent (too shallow to
-// interrupt meaningfully), so the first rung is NaN-contaminated to
-// force the linearly convergent substitution rung — hundreds of
-// iterations at this load.
+// full solve stops the iteration at the next poll — the solver does at
+// most cancelCheckInterval iterations past the deadline instead of
+// finishing, and reports its partial progress. M/M/1 at ρ = 0.99999 is
+// deep enough to interrupt: logarithmic reduction needs over twenty
+// iterations to cover the slowly decaying tail.
 func TestSolveDeadlineInterruptsMidIteration(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	deepSolve := func(hook func()) (int64, error) {
-		faultinject.ArmOnce("qbd.R", func(p any) error {
-			p.(*matrix.Dense).Set(0, 0, math.NaN())
-			return nil
-		})
-		var n atomic.Int64
-		faultinject.Arm("qbd.iter", func(any) error {
-			n.Add(1)
-			if hook != nil {
-				hook()
-			}
-			return nil
-		})
-		var opts RMatrixOptions
-		if hook != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			defer cancel()
-			opts.Ctx = ctx
-		}
-		_, err := Solve(mm1(9, 10), opts)
-		faultinject.Reset()
-		return n.Load(), err
-	}
+	p := mm1(0.99999, 1)
 
-	// Baseline: the full ladder (contaminated rung 1 + substitution).
-	full, err := deepSolve(nil)
-	if err != nil {
+	// Baseline: the uninterrupted solve, counting iterations.
+	var full atomic.Int64
+	faultinject.Arm("qbd.iter", func(any) error { full.Add(1); return nil })
+	if _, err := Solve(p, RMatrixOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if full < 100 {
-		t.Fatalf("full solve only %d iterations; probe assumptions broken", full)
+	faultinject.Reset()
+	if full.Load() < 20 {
+		t.Fatalf("full solve only %d iterations; probe assumptions broken", full.Load())
 	}
 
-	// Interrupted: every iteration sleeps 2ms, the 20ms deadline lands
-	// around iteration 10, and the poll must stop the solve within one
-	// check interval — far short of the full budget.
-	fired, err := deepSolve(func() { time.Sleep(2 * time.Millisecond) })
+	// Interrupted: every iteration sleeps 2ms, so the 20ms deadline lands
+	// around iteration 10. The hook records the first iteration that
+	// finds the deadline passed.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	var fired, expiredAt atomic.Int64
+	expiredAt.Store(-1)
+	faultinject.Arm("qbd.iter", func(p any) error {
+		fired.Add(1)
+		time.Sleep(2 * time.Millisecond)
+		if ctx.Err() != nil {
+			expiredAt.CompareAndSwap(-1, int64(p.(int)))
+		}
+		return nil
+	})
+	_, err := Solve(p, RMatrixOptions{Ctx: ctx})
+	faultinject.Reset()
 	if !errors.Is(err, certify.ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v, want ErrDeadline wrapping DeadlineExceeded", err)
 	}
@@ -90,11 +79,18 @@ func TestSolveDeadlineInterruptsMidIteration(t *testing.T) {
 	if !errors.As(err, &f) || f.Iterations <= 0 {
 		t.Fatalf("failure carries no partial iteration count: %+v", f)
 	}
-	// Deadline at ~iteration 10, detection within cancelCheckInterval,
-	// and the ladder must not restart the work on a later rung. The
-	// generous bound still sits far below the full budget.
-	if fired > full/4 || fired > 10+8*cancelCheckInterval {
-		t.Fatalf("solver ran %d iterations past a 20ms deadline (full solve: %d)", fired, full)
+	// The ran iterations are 0..fired-1. The deadline passed during
+	// iteration expiredAt (or, if it expired between that iteration's
+	// hook and its poll, during the last one), and the poll must stop the
+	// solve within cancelCheckInterval iterations of it.
+	last := fired.Load() - 1
+	at := expiredAt.Load()
+	if at < 0 {
+		at = last
+	}
+	if last > at+cancelCheckInterval || fired.Load() >= full.Load() {
+		t.Fatalf("solver ran to iteration %d after the deadline passed at iteration %d (full solve: %d)",
+			last, at, full.Load())
 	}
 }
 

@@ -47,26 +47,28 @@ func TestSolveAttachesCertificate(t *testing.T) {
 
 // TestLadderRecoversFromInjectedNaN: a NaN planted in the first rung's R
 // must be caught by certification and cured by the next rung, with the
-// certificate's path recording both.
+// certificate's path recording both. The Newton rung is enabled at
+// order 1 so that the planted NaN hits it and logarithmic reduction,
+// the ladder's last rung, recovers.
 func TestLadderRecoversFromInjectedNaN(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.ArmOnce("qbd.R", func(p any) error {
 		p.(*matrix.Dense).Set(0, 0, math.NaN())
 		return nil
 	})
-	sol, err := Solve(mm1(1, 2), RMatrixOptions{})
+	sol, err := Solve(mm1(1, 2), RMatrixOptions{Newton: true, NewtonMinOrder: 1})
 	if err != nil {
 		t.Fatalf("ladder did not recover: %v", err)
 	}
 	path := sol.Cert.Path
-	if len(path) < 2 {
-		t.Fatalf("path %v, want at least two rungs", path)
+	if len(path) != 2 {
+		t.Fatalf("path %v, want two rungs", path)
 	}
-	if !strings.HasPrefix(path[0], "logreduction: uncertified") {
-		t.Fatalf("path[0] = %q, want logreduction: uncertified", path[0])
+	if path[0] != "newton: uncertified" {
+		t.Fatalf("path[0] = %q, want newton: uncertified", path[0])
 	}
-	if path[1] != "substitution: ok" {
-		t.Fatalf("path[1] = %q, want substitution: ok", path[1])
+	if path[1] != "logreduction: ok" {
+		t.Fatalf("path[1] = %q, want logreduction: ok", path[1])
 	}
 	if err := sol.Cert.Verify(); err != nil {
 		t.Fatalf("recovered solution fails certification: %v", err)
@@ -82,8 +84,8 @@ func TestLadderRecoversFromInjectedNaN(t *testing.T) {
 // last one.
 func TestRMatrixJoinsLadderErrors(t *testing.T) {
 	p := mm1(1, 2)
-	// An impossible budget: both algorithms exhaust a single iteration.
-	_, err := RMatrixOp(p.A0, p.A1, p.A2, RMatrixOptions{Tol: 1e-15, MaxIter: 1})
+	// An impossible budget: both rungs exhaust a single iteration.
+	_, err := RMatrixOp(p.A0, p.A1, p.A2, RMatrixOptions{Tol: 1e-15, MaxIter: 1, Newton: true, NewtonMinOrder: 1})
 	if err == nil {
 		t.Fatal("one-iteration budget converged")
 	}
@@ -94,7 +96,7 @@ func TestRMatrixJoinsLadderErrors(t *testing.T) {
 		t.Fatalf("error %v lost the underlying cause", err)
 	}
 	msg := err.Error()
-	for _, rung := range []string{"logreduction", "substitution"} {
+	for _, rung := range []string{"newton", "logreduction"} {
 		if !strings.Contains(msg, rung) {
 			t.Fatalf("error %q does not name rung %q", msg, rung)
 		}
@@ -102,30 +104,6 @@ func TestRMatrixJoinsLadderErrors(t *testing.T) {
 	var f *certify.Failure
 	if !errors.As(err, &f) || f.Stage != "qbd.rmatrix" || f.Iterations == 0 {
 		t.Fatalf("failure diagnostics missing: %+v", f)
-	}
-}
-
-// TestSolveCertifiedLadderExtraRungs: with certification active, the
-// tightened-tolerance and shifted rungs run after both classical rungs
-// produce uncertifiable output.
-func TestSolveCertifiedLadderExtraRungs(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	// Contaminate the first two rungs; the tightened retry then succeeds.
-	fires := 0
-	faultinject.Arm("qbd.R", func(p any) error {
-		fires++
-		if fires <= 2 {
-			p.(*matrix.Dense).Set(0, 0, math.NaN())
-		}
-		return nil
-	})
-	sol, err := Solve(mm1(1, 2), RMatrixOptions{})
-	if err != nil {
-		t.Fatalf("extended ladder did not recover: %v", err)
-	}
-	path := sol.Cert.Path
-	if len(path) != 3 || !strings.HasPrefix(path[2], "tightened-logreduction: ok") {
-		t.Fatalf("path %v, want third rung tightened-logreduction: ok", path)
 	}
 }
 

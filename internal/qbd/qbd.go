@@ -5,9 +5,9 @@
 //
 //	A₀ + R·A₁ + R²·A₂ = 0
 //
-// by logarithmic reduction (with successive substitution as a fallback),
-// checking stability via the mean-drift condition, solving the boundary
-// levels, and producing the stationary measures of §4.5.
+// by logarithmic reduction (after a certified Newton attempt, where
+// enabled), checking stability via the mean-drift condition, solving the
+// boundary levels, and producing the stationary measures of §4.5.
 package qbd
 
 import (
@@ -157,11 +157,18 @@ func (p *Process) Drift() (upRate, downRate float64, err error) {
 	return matrix.Dot(y, p.A0.RowSums()), matrix.Dot(y, p.A2.RowSums()), nil
 }
 
-// Stable reports whether the drift condition for positive recurrence holds.
+// Stable reports whether the drift condition for positive recurrence
+// holds: up < down by more than the rounding of the two rates. A
+// relative allowance of (n+2)·2⁻⁵² for phase order n, the rounding
+// allowance of matrix.SpectralRadiusUpperBound, classifies an exactly
+// critical process (up = down in exact arithmetic, an ulp or two apart
+// once rounded) as unstable: it has no stationary distribution, and the
+// R ladder would only spend its budget on the null-recurrent chain.
 func (p *Process) Stable() (bool, error) {
 	up, down, err := p.Drift()
 	if err != nil {
 		return false, err
 	}
-	return up < down, nil
+	alpha := float64(p.RepeatDim()+2) * 0x1p-52
+	return up < down*(1-alpha), nil
 }

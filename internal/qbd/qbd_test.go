@@ -114,26 +114,6 @@ func TestRMatrixMM1(t *testing.T) {
 	}
 }
 
-func TestRMatrixSuccessiveSubstitutionAgrees(t *testing.T) {
-	p := mErlang2_1(0.7, 1)
-	ws := matrix.NewWorkspace()
-	n := p.RepeatDim()
-	id := ws.Get(n, n).SetIdentity()
-	b0, d1, b2, release := uniformizeOps(ws, p.A0, p.A1, p.A2, uniformizeMargin)
-	defer release()
-	rLR, _, err := logarithmicReductionR(id, b0, d1, b2, ws, RMatrixOptions{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rSS, _, err := successiveSubstitution(id, b0, d1, b2, ws, RMatrixOptions{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.EqualApprox(rLR, rSS, 1e-8) {
-		t.Fatalf("LR and SS disagree:\n%v\n%v", rLR, rSS)
-	}
-}
-
 // TestLogarithmicReductionRAllocs: on a primed workspace the classical
 // rung allocates only the R it returns (header and backing array); G and
 // every interior buffer are workspace scratch.
@@ -142,7 +122,7 @@ func TestLogarithmicReductionRAllocs(t *testing.T) {
 	ws := matrix.NewWorkspace()
 	n := p.RepeatDim()
 	id := ws.Get(n, n).SetIdentity()
-	b0, d1, b2, release := uniformizeOps(ws, p.A0, p.A1, p.A2, uniformizeMargin)
+	b0, d1, b2, release := uniformizeOps(ws, p.A0, p.A1, p.A2)
 	defer release()
 	opts := RMatrixOptions{}.withDefaults()
 	run := func() {

@@ -41,8 +41,8 @@ type RMatrixOptions struct {
 	// artifacts pinned byte-identical across releases — never changes
 	// unless a caller opts in. A Newton result always carries a
 	// Certificate, even on the raw RMatrix/RMatrixOp entry points; a
-	// rejected Newton attempt is recorded in the certificate path and the
-	// ladder falls through to the unchanged classical rungs.
+	// rejected Newton attempt is recorded in the certificate path and
+	// logarithmic reduction, the ladder's only other rung, decides.
 	Newton bool
 
 	// NewtonMinOrder gates the Newton rung to block orders at or above
@@ -57,9 +57,10 @@ type RMatrixOptions struct {
 	// disconnect stops the work within a handful of iterations instead
 	// of after the full budget. An interrupted solve fails with a typed
 	// certify.ErrDeadline carrying the partial iteration count, and the
-	// fallback ladder aborts immediately — no later rung restarts work
-	// the caller no longer wants. Nil (the default, and the only state
-	// benchmarks ever see) costs one nil-check per polled iteration.
+	// ladder aborts immediately — an interrupted Newton rung is not
+	// followed by logarithmic reduction restarting work the caller no
+	// longer wants. Nil (the default, and the only state benchmarks ever
+	// see) costs one nil-check per polled iteration.
 	Ctx context.Context
 }
 
@@ -83,16 +84,17 @@ func (o RMatrixOptions) workspace() *matrix.Workspace {
 	return matrix.NewWorkspace()
 }
 
-// cancelCheckInterval is how often (in iterations) the iterative solvers
+// cancelCheckInterval is how often (in iterations) the ladder's rungs
 // poll RMatrixOptions.Ctx. Each iteration is O(n³) kernel work, so one
 // Ctx.Err() per eight iterations is unmeasurable on RMatrix/medium while
 // bounding the overshoot past a deadline to a few iterations.
 const cancelCheckInterval = 8
 
-// iterTick is the per-iteration instrumentation gate shared by every
-// iterative solver: the "qbd.iter" fault-injection point (tests inject
-// per-iteration latency or errors through it; disarmed it is one atomic
-// load) and the periodic cancellation poll. A non-nil return is a typed
+// iterTick is the per-iteration instrumentation gate shared by both
+// rungs, Newton and logarithmic reduction: the "qbd.iter"
+// fault-injection point (tests inject per-iteration latency or errors
+// through it; disarmed it is one atomic load) and the periodic
+// cancellation poll. A non-nil return is a typed
 // certify.ErrDeadline (cancellation) or the injected error, and aborts
 // the current rung at iteration iter.
 func iterTick(opts *RMatrixOptions, iter int) error {
@@ -108,34 +110,28 @@ func iterTick(opts *RMatrixOptions, iter int) error {
 	return nil
 }
 
-// Uniformization margins: the rate constant c is the maximum exit rate
-// inflated by the margin, so the discretized blocks stay strictly
-// substochastic. The default margin reproduces the historical iteration
-// bit-for-bit; the shifted margin is used by the regularized fallback
-// rung, trading per-step progress for extra distance from the stochastic
-// boundary when the tight discretization misbehaves numerically.
-const (
-	uniformizeMargin = 1.0000001
-	shiftedMargin    = 1.01
-)
+// uniformizeMargin inflates the uniformization rate constant c above the
+// maximum exit rate, so the discretized blocks stay strictly
+// substochastic.
+const uniformizeMargin = 1.0000001
 
-// Fallback-ladder rung names, in the order they are attempted.
+// Ladder rung names, in the order they are attempted.
 const (
 	rungNewton       = "newton"
 	rungLogReduction = "logreduction"
-	rungSubstitution = "substitution"
-	rungTightened    = "tightened"
-	rungShifted      = "shifted"
 )
 
 // RMatrix computes the minimal non-negative solution of
 // R²·A₂ + R·A₁ + A₀ = 0 (paper eq. 23) by logarithmic reduction on the
-// uniformized blocks, falling back to successive substitution if reduction
-// stalls. The same R solves both the CTMC and its uniformized DTMC
-// equation, so we discretize first (§2.4) and work with substochastic
-// blocks throughout. When both rungs fail, the returned error joins each
-// rung's failure (errors.Join) under certify.ErrNotConverged, so the
-// caller sees why every attempt died, not just the last.
+// uniformized blocks, after a certified Newton attempt where opts enable
+// it. The same R solves both the CTMC and its uniformized DTMC equation,
+// so we discretize first (§2.4) and work with substochastic blocks
+// throughout. Logarithmic reduction's R is accepted uncertified but must
+// be finite: a NaN or ±Inf entry is a typed
+// certify.ErrNumericContaminated failure. When every rung fails, the
+// returned error joins each rung's failure (errors.Join) under one
+// certify.Failure, so the caller sees why every attempt died, not just
+// the last.
 func RMatrix(a0, a1, a2 *matrix.Dense, opts RMatrixOptions) (*matrix.Dense, error) {
 	return RMatrixOp(matrix.Op(a0), matrix.Op(a1), matrix.Op(a2), opts)
 }
@@ -149,16 +145,14 @@ func RMatrixOp(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions) (*matrix.Dense, e
 	return r, err
 }
 
-// rMatrixLadder runs the structured fallback ladder. With certTol == nil
-// it attempts the two classical rungs (logarithmic reduction, successive
-// substitution) exactly as RMatrix always has, accepting the first R an
-// algorithm converges to. With certTol set (the Solve path) every rung's
-// R is certified — finite entries, fixed-point residual below tolerance —
-// before being accepted, and two further rungs are available: a
-// tightened-tolerance retry of both algorithms, then a shifted/
-// regularized solve (functional G iteration on a re-uniformized chain
-// with a diagonally regularized final system). The returned certificate
-// records the full path and total iteration count.
+// rMatrixLadder runs the R ladder: the Newton rung, when opts.Newton is
+// set and the block order reaches opts.NewtonMinOrder, then logarithmic
+// reduction. The Newton rung's R is always certified. With certTol == nil
+// (the raw RMatrix entry points) logarithmic reduction's R is accepted as
+// long as it is finite; with certTol set (the Solve path) it is certified
+// too — finite entries, fixed-point residual below tolerance — before
+// being accepted. The returned certificate records the path and the
+// total iteration count.
 func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *certify.Tolerances) (*matrix.Dense, *certify.Certificate, error) {
 	n, _ := a1.Dims()
 	if n == 0 {
@@ -170,7 +164,7 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 	}
 	ws := opts.workspace()
 	id := ws.Get(n, n).SetIdentity()
-	b0, d1, b2, release := uniformizeOps(ws, a0, a1, a2, uniformizeMargin)
+	b0, d1, b2, release := uniformizeOps(ws, a0, a1, a2)
 
 	var (
 		path     []string
@@ -178,19 +172,24 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 		iters    int
 		canceled bool
 	)
-	// tryWith runs one rung judged at tol; it returns the accepted R and
-	// its certificate, or records the failure and returns nils so the
-	// ladder descends. A rung interrupted by the caller's deadline sets
-	// canceled: the ladder aborts instead of descending — every further
-	// rung would restart work the caller has already given up on.
-	// quickSpectral selects the spectral bound that stops as soon as
-	// sp(R) < 1 is witnessed — still rigorous, but loose; it is only ever
-	// set on the raw entry points, where the certificate is an internal
-	// acceptance gate and its SpectralRadius value is never surfaced to a
-	// caller.
-	tryWith := func(name string, tol *certify.Tolerances, quickSpectral bool, run func() (*matrix.Dense, int, error)) (*matrix.Dense, *certify.Certificate) {
+	// try runs one rung judged at tol (nil: uncertified); it returns the
+	// accepted R and its certificate, or records the failure and returns
+	// nils. A rung interrupted by the caller's deadline sets canceled: the
+	// ladder aborts instead of descending — the next rung would restart
+	// work the caller has already given up on. On the raw entry points
+	// (certTol == nil) a certificate is an internal acceptance gate whose
+	// SpectralRadius is never surfaced to a caller, so its spectral bound
+	// stops as soon as sp(R) < 1 is witnessed — still rigorous, but loose;
+	// for a comfortably stable R that is one ∞-norm instead of the
+	// squarings that tighten it.
+	try := func(name string, tol *certify.Tolerances, run func() (*matrix.Dense, int, error)) (*matrix.Dense, *certify.Certificate) {
 		r, it, err := run()
 		iters += it
+		if err == nil && tol == nil && !r.Finite() {
+			// The sup-norm stopping tests skip NaN entries, so an
+			// uncertified rung can "converge" to a contaminated R.
+			err = fmt.Errorf("qbd: R has non-finite entries: %w", certify.ErrNumericContaminated)
+		}
 		if err != nil {
 			if errors.Is(err, certify.ErrDeadline) ||
 				errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -204,14 +203,15 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 			path = append(path, name+": ok")
 			return r, nil
 		}
-		// Fault-injection point: tests corrupt r here to prove the ladder
-		// catches contamination instead of passing it downstream.
+		// Fault-injection point: tests corrupt r here to prove
+		// certification catches contamination instead of passing it
+		// downstream.
 		if ferr := faultinject.Fire("qbd.R", r); ferr != nil {
 			path = append(path, name+": injected")
 			rungs = append(rungs, fmt.Errorf("%s: %w", name, ferr))
 			return nil, nil
 		}
-		c := certifyRWSBound(r, a0, a1, a2, *tol, ws, quickSpectral)
+		c := certifyRWSBound(r, a0, a1, a2, *tol, ws, certTol == nil)
 		if verr := c.VerifyR(); verr != nil {
 			path = append(path, name+": uncertified")
 			rungs = append(rungs, fmt.Errorf("%s: %w", name, verr))
@@ -220,9 +220,6 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 		path = append(path, name+": ok")
 		return r, c
 	}
-	try := func(name string, run func() (*matrix.Dense, int, error)) (*matrix.Dense, *certify.Certificate) {
-		return tryWith(name, certTol, false, run)
-	}
 
 	var (
 		r    *matrix.Dense
@@ -230,69 +227,23 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 	)
 	if opts.Newton && n >= opts.NewtonMinOrder {
 		// Newton rung: always certified, even on the raw entry points
-		// where the rest of the ladder runs uncertified — an early-stopped
+		// where logarithmic reduction runs uncertified — an early-stopped
 		// quadratic iteration's truncation error must be judged, never
-		// assumed. A rejection is recorded in the path and the unchanged
-		// classical ladder decides.
+		// assumed. A rejection is recorded in the path and logarithmic
+		// reduction decides.
 		ntol := certTol
 		if ntol == nil {
 			dt := certify.DefaultTolerances()
 			ntol = &dt
 		}
-		// On the raw entry points (certTol == nil) the certificate is an
-		// internal gate whose SpectralRadius is never returned, so the
-		// stability check stops at the first bound below 1 — for a
-		// comfortably stable R that is one ∞-norm instead of the squarings
-		// that tighten it.
-		r, cert = tryWith(rungNewton, ntol, certTol == nil, func() (*matrix.Dense, int, error) {
+		r, cert = try(rungNewton, ntol, func() (*matrix.Dense, int, error) {
 			return newtonCyclicReductionR(id, b0, d1, b2, ws, opts)
 		})
 	}
 	if r == nil && !canceled {
-		r, cert = try(rungLogReduction, func() (*matrix.Dense, int, error) {
+		r, cert = try(rungLogReduction, certTol, func() (*matrix.Dense, int, error) {
 			return logarithmicReductionR(id, b0, d1, b2, ws, opts)
 		})
-	}
-	if r == nil && !canceled {
-		r, cert = try(rungSubstitution, func() (*matrix.Dense, int, error) {
-			return successiveSubstitution(id, b0, d1, b2, ws, opts)
-		})
-	}
-	if r == nil && !canceled && certTol != nil {
-		// Rung 3: tightened-tolerance retry. A result that converged but
-		// failed residual certification usually stalled just short; a
-		// smaller stopping tolerance and a bigger budget give both
-		// algorithms a genuinely new attempt.
-		tight := opts
-		tight.Tol = opts.Tol * 1e-2
-		tight.MaxIter = opts.MaxIter * 10
-		r, cert = try(rungTightened+"-"+rungLogReduction, func() (*matrix.Dense, int, error) {
-			return logarithmicReductionR(id, b0, d1, b2, ws, tight)
-		})
-		if r == nil && !canceled {
-			r, cert = try(rungTightened+"-"+rungSubstitution, func() (*matrix.Dense, int, error) {
-				return successiveSubstitution(id, b0, d1, b2, ws, tight)
-			})
-		}
-		if r == nil && !canceled {
-			// Rung 4: shifted/regularized solve. Re-uniformize with a fat
-			// margin (a genuinely different, better-separated discretization),
-			// compute G by the monotone functional iteration — robust where
-			// quadratic methods degenerate — and convert to R through a
-			// diagonally regularized final system.
-			r, cert = try(rungShifted, func() (*matrix.Dense, int, error) {
-				e0, e1, e2, release2 := uniformizeOps(ws, a0, a1, a2, shiftedMargin)
-				defer release2()
-				sopts := opts
-				sopts.MaxIter = opts.MaxIter * 10
-				g, it, err := functionalIterationG(e0, e1, e2, ws, sopts)
-				if err != nil {
-					return nil, it, err
-				}
-				rr, err := rFromG(id, e0, e1, g, ws, true)
-				return rr, it, err
-			})
-		}
 	}
 	ws.Put(id)
 	release()
@@ -391,14 +342,14 @@ func CertifyR(r, a0, a1, a2 *matrix.Dense, tol certify.Tolerances) *certify.Cert
 }
 
 // uniformizeOps maps CTMC blocks to DTMC blocks Dk with
-// D0 = A0/c, D1 = A1/c + I, D2 = A2/c for c ≥ max exit rate (margin
-// controls the inflation above it). D1 is always dense (the +I fill-in
+// D0 = A0/c, D1 = A1/c + I, D2 = A2/c for c the maximum exit rate
+// inflated by uniformizeMargin. D1 is always dense (the +I fill-in
 // makes it so); D0/D2 keep their operator representation — a dense block
 // scales into a workspace matrix, a structured block scales through its
 // own Scaled (Sparse.Scaled drops exact zeros, so a CSR pattern always
 // matches the dense non-zero pattern). release returns the workspace
 // scratch.
-func uniformizeOps(ws *matrix.Workspace, a0, a1, a2 matrix.BlockOp, margin float64) (b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, release func()) {
+func uniformizeOps(ws *matrix.Workspace, a0, a1, a2 matrix.BlockOp) (b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, release func()) {
 	n, _ := a1.Dims()
 	a1d := a1.Dense()
 	var c float64
@@ -407,7 +358,7 @@ func uniformizeOps(ws *matrix.Workspace, a0, a1, a2 matrix.BlockOp, margin float
 			c = r
 		}
 	}
-	c *= margin
+	c *= uniformizeMargin
 	var scratch []*matrix.Dense
 	scale := func(op matrix.BlockOp) matrix.BlockOp {
 		if db, ok := op.(*matrix.DenseBlock); ok {
@@ -499,31 +450,20 @@ func logarithmicReductionR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense
 	if err != nil {
 		return nil, iters, err
 	}
-	r, err := rFromG(id, b0, d1, g, ws, false)
+	r, err := rFromG(id, b0, d1, g, ws)
 	ws.Put(g)
 	return r, iters, err
 }
 
-// rFromG converts G to R = D₀·(I − D₁ − D₀·G)⁻¹. With regularize set, a
-// singular system is retried once with a small diagonal perturbation
-// ε·‖·‖∞ — the regularized fallback rung's last resort (the resulting R
-// still has to pass residual certification to be accepted).
-func rFromG(id *matrix.Dense, b0 matrix.BlockOp, d1, g *matrix.Dense, ws *matrix.Workspace, regularize bool) (*matrix.Dense, error) {
+// rFromG converts G to R = D₀·(I − D₁ − D₀·G)⁻¹.
+func rFromG(id *matrix.Dense, b0 matrix.BlockOp, d1, g *matrix.Dense, ws *matrix.Workspace) (*matrix.Dense, error) {
 	n := d1.Rows()
 	m := ws.Get(n, n) // D₀·G, then D₁ + D₀·G, then I − (D₁ + D₀·G)
 	b0.MulDenseTo(m, g)
 	matrix.AddTo(m, d1, m)
 	matrix.DiffTo(m, id, m)
 	lu := ws.GetLU(n)
-	err := lu.Reset(m)
-	if err != nil && regularize {
-		eps := 1e-10 * (1 + m.InfNorm())
-		for i := 0; i < n; i++ {
-			m.Add(i, i, eps)
-		}
-		err = lu.Reset(m)
-	}
-	if err != nil {
+	if err := lu.Reset(m); err != nil {
 		ws.Put(m)
 		ws.PutLU(lu)
 		return nil, fmt.Errorf("qbd: I − D₁ − D₀G singular: %w", err)
@@ -535,79 +475,6 @@ func rFromG(id *matrix.Dense, b0 matrix.BlockOp, d1, g *matrix.Dense, ws *matrix
 	ws.Put(m, inv)
 	ws.PutLU(lu)
 	return r, nil
-}
-
-// successiveSubstitution iterates R ← (D₀ + R²·D₂)·(I − D₁)⁻¹ from R = 0.
-// Linear convergence; kept as a robust fallback.
-func successiveSubstitution(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
-	n := d1.Rows()
-	m := matrix.DiffTo(ws.Get(n, n), id, d1)
-	lu := ws.GetLU(n)
-	if err := lu.Reset(m); err != nil {
-		ws.Put(m)
-		ws.PutLU(lu)
-		return nil, 0, fmt.Errorf("qbd: I − D₁ singular: %w", err)
-	}
-	inv := ws.Get(n, n)
-	lu.InverseTo(inv)
-	r := matrix.New(n, n) // freshly allocated: R escapes on success
-	rr, s, next := ws.Get(n, n), ws.Get(n, n), ws.Get(n, n)
-	cleanup := func() {
-		ws.Put(m, inv, rr, s, next)
-		ws.PutLU(lu)
-	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		if err := iterTick(&opts, iter); err != nil {
-			cleanup()
-			return nil, iter, err
-		}
-		matrix.MulTo(rr, r, r)
-		b2.MulFromLeftTo(s, rr)
-		// s = d0 + s, via the operator: s is kernel output (no -0
-		// entries), so skipping d0's zeros and commuting the adds is
-		// bitwise the historical AddTo(s, d0, s).
-		b0.AddScaledTo(s, 1)
-		matrix.MulTo(next, s, inv)
-		diff := matrix.MaxAbsDiff(next, r)
-		r.CopyFrom(next)
-		if diff < opts.Tol {
-			cleanup()
-			return r, iter + 1, nil
-		}
-	}
-	cleanup()
-	return nil, opts.MaxIter, matrix.ErrNoConverge
-}
-
-// functionalIterationG iterates G ← D₂ + D₁·G + D₀·G² from G = 0:
-// monotone, and robust for transient (substochastic-G) chains where
-// logarithmic reduction can degenerate or produce NaNs.
-func functionalIterationG(b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
-	n := d1.Rows()
-	g := matrix.New(n, n) // freshly allocated: G escapes on success
-	s, gg, q, next := ws.Get(n, n), ws.Get(n, n), ws.Get(n, n), ws.Get(n, n)
-	cleanup := func() { ws.Put(s, gg, q, next) }
-	for iter := 0; iter < opts.MaxIter*100; iter++ {
-		if err := iterTick(&opts, iter); err != nil {
-			cleanup()
-			return nil, iter, err
-		}
-		matrix.MulTo(s, d1, g)
-		// s = d2 + s: kernel output carries no -0, so the operator's
-		// zero-skipping commuted add is bitwise the historical AddTo.
-		b2.AddScaledTo(s, 1)
-		matrix.MulTo(gg, g, g)
-		b0.MulDenseTo(q, gg)
-		matrix.AddTo(next, s, q)
-		diff := matrix.MaxAbsDiff(next, g)
-		g.CopyFrom(next)
-		if diff < opts.Tol {
-			cleanup()
-			return g, iter + 1, nil
-		}
-	}
-	cleanup()
-	return nil, opts.MaxIter * 100, matrix.ErrNoConverge
 }
 
 // ResidualR returns ‖A₀ + R·A₁ + R²·A₂‖_∞, a correctness check on R

@@ -111,7 +111,7 @@ func TestChaosSoak(t *testing.T) {
 		return nil
 	})
 	faultinject.ArmChaos("qbd.R", 44, 0.10, func(p any) error {
-		p.(*matrix.Dense).Set(0, 0, math.NaN()) // ladder must catch and fall back
+		p.(*matrix.Dense).Set(0, 0, math.NaN()) // certification must catch it: a typed failure, never a NaN 200
 		return nil
 	})
 

@@ -85,7 +85,7 @@ func (m *metrics) breakerTransition(shardID, from, to int) {
 }
 
 // solveDone records one solve executed on a shard: the trial-solve
-// counter and, from each class certificate's fallback-ladder Path, one
+// counter and, from each class certificate's R-ladder Path, one
 // outcome count per rung attempted. The Path entries are "rung: outcome"
 // strings written by the QBD ladder, so the metric needs no new plumbing
 // through the solver — it is a projection of data every answer already

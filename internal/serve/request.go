@@ -132,7 +132,7 @@ type ClassAnswer struct {
 	// of a certified analytic solve.
 	Degraded bool `json:"degraded,omitempty"`
 	// Certificate is the class's machine-checkable validity record; its
-	// Path records the fallback ladder.
+	// Path records the R ladder's rungs.
 	Certificate *certify.Certificate `json:"certificate,omitempty"`
 	// Error and Kind carry a failed class's typed failure when the
 	// request opted into degradation.

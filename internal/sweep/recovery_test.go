@@ -258,21 +258,25 @@ func TestRetryBackoffRecordedInManifest(t *testing.T) {
 	})
 	trials := []Trial{{Scenario: testSpec().Base, Method: MethodAnalytic}}
 	start := time.Now()
-	run, err := RunTrials(context.Background(), trials,
-		Options{Workers: 1, MaxRetries: 2, RetryBackoff: 8 * time.Millisecond})
+	run, err := RunTrials(context.Background(), trials, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	r := run.Results[0]
-	if r.Status != StatusError || r.Attempts != 3 {
-		t.Fatalf("result %+v, want error after 3 attempts", r)
+	if r.Status != StatusError || r.Attempts != 1+maxRetries {
+		t.Fatalf("result %+v, want error after %d attempts", r, 1+maxRetries)
 	}
-	// Two pauses: 8ms and 16ms, jittered into [0.5, 1)× — at least 12ms
-	// total, and the run must actually have slept them.
+	// Two pauses of 25·f and 50·f ms for the trial's jitter factor f in
+	// [0.5, 1): 37.5–75ms in all, and the run must actually have slept
+	// them.
+	want := retryDelay(retryBackoff, r.Key, 1) + retryDelay(retryBackoff, r.Key, 2)
+	if r.Backoff != want || want < 3*retryBackoff/2 || want >= 3*retryBackoff {
+		t.Fatalf("backoff %v, want %v in [%v, %v)", r.Backoff, want, 3*retryBackoff/2, 3*retryBackoff)
+	}
 	pt := run.Manifest.PerTrial[0]
-	if pt.BackoffMillis < 12 {
-		t.Fatalf("manifest backoff %dms, want >= 12ms", pt.BackoffMillis)
+	if pt.BackoffMillis != want.Milliseconds() {
+		t.Fatalf("manifest backoff %dms, want %dms", pt.BackoffMillis, want.Milliseconds())
 	}
 	if elapsed < time.Duration(pt.BackoffMillis)*time.Millisecond {
 		t.Fatalf("recorded %dms backoff but run took only %v", pt.BackoffMillis, elapsed)

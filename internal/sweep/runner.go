@@ -24,19 +24,6 @@ type Options struct {
 	// Cache, when non-nil, is consulted before executing each trial and
 	// updated with every successful result.
 	Cache *Cache
-	// MaxRetries bounds the extra attempts granted to an analytic trial
-	// whose fixed point did not converge. Default 2.
-	MaxRetries int
-	// RetryScale multiplies the fixed-point iteration budget on each
-	// retry. Default 4.
-	RetryScale int
-	// RetryBackoff is the base pause before the first retry of a
-	// non-converged analytic trial; each further retry doubles it, and a
-	// deterministic per-trial jitter (hashed from the trial key) staggers
-	// a grid of boundary trials so they don't refire in lockstep. The
-	// delays taken are recorded per attempt in the manifest. Default
-	// 25ms; negative disables backoff entirely.
-	RetryBackoff time.Duration
 	// Progress, when non-nil, is called after every finished trial with
 	// the completion count (calls are serialized).
 	Progress func(done, total int, r TrialResult)
@@ -71,19 +58,21 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.RetryScale == 0 {
-		o.RetryScale = 4
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 25 * time.Millisecond
-	} else if o.RetryBackoff < 0 {
-		o.RetryBackoff = 0
-	}
 	return o
 }
+
+// The retry policy for an analytic trial whose fixed point did not
+// converge: up to maxRetries extra attempts, each with the fixed-point
+// iteration budget multiplied by retryScale. Before retry n the trial
+// pauses retryDelay(retryBackoff, key, n): the base doubles per retry,
+// and a deterministic per-trial jitter (hashed from the trial key)
+// staggers a grid of boundary trials so they don't refire in lockstep.
+// The pauses taken are recorded per trial in the manifest.
+const (
+	maxRetries   = 2
+	retryScale   = 4
+	retryBackoff = 25 * time.Millisecond
+)
 
 // Trial statuses recorded in the run manifest.
 const (
@@ -299,11 +288,8 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 		if t.Solve.MaxIterations == 0 {
 			t.Solve.MaxIterations = 200 // core's default
 		}
-		t.Solve.MaxIterations *= opts.RetryScale
-		d := retryDelay(opts.RetryBackoff, r.Key, attempt)
-		if d <= 0 {
-			return true
-		}
+		t.Solve.MaxIterations *= retryScale
+		d := retryDelay(retryBackoff, r.Key, attempt)
 		r.Backoff += d
 		timer := time.NewTimer(d)
 		defer timer.Stop()
@@ -319,13 +305,13 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 		pol := ExecPolicy{
 			Strict:        opts.Strict,
 			AllowDegraded: opts.AllowDegraded,
-			FinalAttempt:  attempt > opts.MaxRetries,
+			FinalAttempt:  attempt > maxRetries,
 			SolveParallel: opts.SolveParallel,
 			Newton:        opts.Newton,
 			Ctx:           ctx,
 		}
 		out, err := attemptTrial(t, pol, ses)
-		retryable := t.Method == MethodAnalytic && attempt <= opts.MaxRetries
+		retryable := t.Method == MethodAnalytic && attempt <= maxRetries
 		switch {
 		case err == errPanic:
 			r.Status = StatusPanic
@@ -394,9 +380,6 @@ func newSession() *core.Session {
 // from the key keeps identical runs identically timed, so manifests stay
 // reproducible.
 func retryDelay(base time.Duration, key string, n int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
 	d := base << uint(n-1)
 	h := fnv.New64a()
 	h.Write([]byte(key))
