@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race race-full ci chaos chaos-short fuzz-short xcheck xcheck-short bench bench-sweep bench-kernel bench-serve bench-scale bench-huge bench-compare
+.PHONY: build fmt vet test race race-full ci chaos chaos-short fuzz-short xcheck xcheck-short bench bench-sweep bench-kernel bench-serve bench-scale bench-huge bench-compare ab
 
 build:
 	$(GO) build ./...
@@ -211,3 +211,13 @@ bench-compare:
 		| awk -f scripts/benchjson.awk > bench_kernel_fresh.json
 	-diff -u BENCH_kernel.json bench_kernel_fresh.json && echo "bench-compare: no drift"
 	rm -f bench_kernel_fresh.json
+
+# ab is the A/B harness for performance claims: it builds PKG's test
+# binary from a git worktree of REF and from the working tree, runs
+# PAIRS interleaved pairs of the benchmarks matching BENCH (alternating
+# which side goes first), and prints the median and min–max of the
+# change/parent ratio of ns/op and B/op. Offline; Go and git only.
+#   make ab REF=fc87b88 PKG=./internal/sweep BENCH='BenchmarkSweepSerial$$'
+PAIRS ?= 10
+ab:
+	sh scripts/ab.sh '$(REF)' '$(PKG)' '$(BENCH)' '$(PAIRS)'

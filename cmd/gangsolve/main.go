@@ -46,8 +46,8 @@ func main() {
 	if err != nil && err != core.ErrAllUnstable {
 		fail(err)
 	}
-	fmt.Printf("utilization rho = %.4f, fixed-point iterations = %d (converged=%v)\n",
-		m.Utilization(), res.Iterations, res.Converged)
+	fmt.Printf("utilization rho = %.4f, fixed-point iterations = %d (converged=%v, residual=%.3g)\n",
+		m.Utilization(), res.Iterations, res.Converged, res.FixedPointResidual)
 	fmt.Printf("%-6s %-8s %-10s %-10s %-10s %-10s %-10s\n",
 		"class", "stable", "N", "T", "rho_p", "sp(R)", "effQ.mean")
 	for p, cr := range res.Classes {

@@ -14,9 +14,13 @@
 //	gangsweep -spec spec.json -allow-degraded # fall back to simulation per failed class
 //	gangsweep -spec spec.json -strict         # any certification failure is fatal
 //
-// With -cache-dir, trial results persist in <dir>/cache.jsonl keyed by a
-// content hash of each trial's resolved parameters, so repeated and
-// interrupted sweeps only compute what is missing. -out writes
+// With -cache-dir, trial results persist in <dir>/cache.v2.jsonl keyed
+// by a content hash of each trial's resolved parameters, so repeated and
+// interrupted sweeps only compute what is missing. The file name carries
+// the answers' version: a cache.jsonl left by an older build, whose
+// fixed point could stop short of a fixed point, is not read. Only
+// converged answers are cached; a trial whose fixed point exhausts its
+// budget fails with kind not-converged. -out writes
 // manifest.json (spec hash, per-trial status, cache hit rate, wall
 // time), results.jsonl and results.csv; the result artifacts are
 // byte-identical across runs regardless of -parallel or cache state.
@@ -64,7 +68,7 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress per-trial progress")
 		example  = flag.Bool("example", false, "print an example spec and exit")
 		strict   = flag.Bool("strict", false, "treat every certification failure as a hard trial error (no degradation)")
-		degraded = flag.Bool("allow-degraded", false, "after retries, fall back to simulation for classes whose analytic solve failed certification (results flagged degraded, never cached)")
+		degraded = flag.Bool("allow-degraded", false, "fall back to simulation for classes whose analytic solve failed certification (results flagged degraded, never cached)")
 		solvePar = flag.Int("solve-parallel", 1, "per-class parallelism inside each analytic solve (<=1 = serial; the trial pool is the primary axis); results are bit-identical either way")
 		newton   = flag.Bool("newton", false, "enable the Newton cyclic-reduction rung in the R-matrix ladder (pays off on large repeating blocks; certified, but results may differ from the classical reduction within tolerance, so they are never cached)")
 	)

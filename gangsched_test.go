@@ -53,10 +53,25 @@ func TestPublicSolveHeavyTrafficUpperBounds(t *testing.T) {
 	}
 }
 
+// TestPublicSimulateAgreesWithSolve grounds the public Solve and
+// Simulate at substantial load (ρ = 0.85) against the exact joint
+// two-class solution, which neither of them computes. The exact
+// constants were produced by core.SolveExactTwoClass at truncation 120
+// (truncation mass 1.3e-5, residual 6.2e-14, about 25 s), through
+//
+//	gangsweep -spec exact.json -parallel 1 -out exact
+//
+// where exact.json holds this model as a two-class scenario (processors
+// 8; partitions 2 and 8; lambda 1.4 and 0.5; mu 1, quantumMean 1,
+// overheadMean 0.01), "methods": ["exact2"] and "solve":
+// {"exactTruncation": 120}.
+//
+// The decomposition is not accurate here: it reads 4.43 and 8.58, −15%
+// and −35% against exact. That is the documented underestimate of
+// ablation A7, so the test asserts it, and asserts that the fixed point
+// is one, rather than a band around the simulator.
 func TestPublicSimulateAgreesWithSolve(t *testing.T) {
-	// Validate at substantial load (ρ = 0.85), where the Theorem 4.3
-	// decomposition is accurate; light-load accuracy bounds live in the
-	// internal/sim cross-validation tests.
+	exact := [2]float64{5.212954936288826, 13.135078078749496}
 	m := demoModel()
 	m.Classes[0].Arrival = Exponential(1.4) // ρ₀ = 0.35
 	m.Classes[1].Arrival = Exponential(0.5) // ρ₁ = 0.50
@@ -64,14 +79,23 @@ func TestPublicSimulateAgreesWithSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !ana.Converged || !(ana.FixedPointResidual < 1e-6) {
+		t.Fatalf("fixed point: converged %v after %d rounds, residual %g",
+			ana.Converged, ana.Iterations, ana.FixedPointResidual)
+	}
 	simr, err := Simulate(SimConfig{Model: m, Seed: 4, Warmup: 2e4, Horizon: 3.2e5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for p := range ana.Classes {
-		a, s := ana.Classes[p].N, simr.Classes[p].MeanJobs
-		if math.Abs(a-s)/s > 0.30 {
-			t.Fatalf("class %d: analytic %g vs simulated %g", p, a, s)
+		// The simulator is exact up to sampling error: within its
+		// confidence half-width widened 3× (the oracle's widening).
+		s, ci := simr.Classes[p].MeanJobs, simr.Classes[p].MeanJobsCI
+		if math.Abs(s-exact[p]) > 3*ci {
+			t.Fatalf("class %d: simulated %g ± %g vs exact %g", p, s, ci, exact[p])
+		}
+		if a := ana.Classes[p].N; !(a < exact[p]) {
+			t.Fatalf("class %d: decomposition %g not below exact %g", p, a, exact[p])
 		}
 	}
 }

@@ -5,9 +5,9 @@
 // finiteness), and the outcome travels with the result as a Certificate.
 // Failures are reported through a typed taxonomy so callers — the
 // fixed-point driver, the sweep harness, the CLIs — can distinguish
-// configuration mistakes from numeric breakdowns and react (retry with an
-// escalated budget, fall back to simulation, or abort) instead of parsing
-// error strings.
+// configuration mistakes from numeric breakdowns and react (fall back to
+// simulation, or fail with the right status) instead of parsing error
+// strings.
 package certify
 
 import (
@@ -21,7 +21,6 @@ import (
 var (
 	// ErrNotConverged: an iterative method exhausted its budget, or a
 	// result's fixed-point residual exceeds its certification tolerance.
-	// The only retryable kind — a bigger iteration budget may cure it.
 	ErrNotConverged = errors.New("certify: iteration did not converge")
 	// ErrSingularBoundary: the finite boundary system is (numerically)
 	// singular or its balance equations are violated by the solution.

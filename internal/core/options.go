@@ -14,25 +14,13 @@ import (
 type SolveOptions struct {
 	// RMatrix forwards options to the QBD R-matrix computation.
 	RMatrix qbd.RMatrixOptions
-	// FixedPointTol is the relative change in every class's mean
-	// population at which the Theorem 4.3 iteration stops. Default 1e-6.
+	// FixedPointTol is the relative change at which the Theorem 4.3
+	// iteration stops: every class's mean population and every class's
+	// effective-quantum parameters must change by less than it in one
+	// round. Default 1e-6.
 	FixedPointTol float64
 	// MaxIterations bounds the fixed-point iteration. Default 200.
 	MaxIterations int
-	// Damping blends new effective-quantum parameters with the previous
-	// iterate: value in (0, 1], 1 = no damping. Default 1 (the iteration
-	// is a monotone contraction; damping only slows it).
-	Damping float64
-	// DisableAcceleration turns off the Aitken Δ² extrapolation applied
-	// every third iterate to the effective-quantum parameters. The
-	// un-accelerated iteration converges linearly with ratio ≈ 0.9 at
-	// light loads, so acceleration is on by default. The accelerated
-	// iteration is additionally safeguarded: if the convergence metric
-	// stops reaching new lows for accelStallWindow consecutive rounds
-	// (the extrapolation can settle into a limit cycle on coupled
-	// multi-class maps), the solve drops back to the plain monotone
-	// iteration for its remaining rounds.
-	DisableAcceleration bool
 	// MaxFitOrder caps the order of the moment-matched effective-quantum
 	// stand-in (ablation A2). Default 8.
 	MaxFitOrder int
@@ -76,9 +64,6 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 200
 	}
-	if o.Damping == 0 {
-		o.Damping = 1
-	}
 	if o.MaxFitOrder == 0 {
 		o.MaxFitOrder = 8
 	}
@@ -94,10 +79,10 @@ func (o SolveOptions) withDefaults() SolveOptions {
 // Validate rejects out-of-range options with a typed certify.ErrConfig
 // failure. Zero values are legal everywhere — they mean "use the
 // default" — so only genuinely meaningless settings (negative
-// tolerances, Damping outside (0, 1], negative iteration budgets) are
-// errors. Solve, SolveHeavyTraffic and NewSession all call this; it is
-// exported so callers can validate configuration up front, e.g. before
-// enqueueing a sweep.
+// tolerances, negative iteration budgets) are errors. Solve,
+// SolveHeavyTraffic and NewSession all call this; it is exported so
+// callers can validate configuration up front, e.g. before enqueueing a
+// sweep.
 func (o SolveOptions) Validate() error {
 	bad := func(field string, v any) error {
 		return &certify.Failure{
@@ -111,8 +96,6 @@ func (o SolveOptions) Validate() error {
 		return bad("FixedPointTol", o.FixedPointTol)
 	case o.TailEps < 0 || math.IsNaN(o.TailEps):
 		return bad("TailEps", o.TailEps)
-	case o.Damping < 0 || o.Damping > 1 || math.IsNaN(o.Damping):
-		return bad("Damping", o.Damping)
 	case o.MaxIterations < 0:
 		return bad("MaxIterations", o.MaxIterations)
 	case o.TruncationCap < 0:

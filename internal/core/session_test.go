@@ -150,8 +150,6 @@ func TestSolveOptionsValidate(t *testing.T) {
 		{"negative FixedPointTol", SolveOptions{FixedPointTol: -1e-9}},
 		{"NaN FixedPointTol", SolveOptions{FixedPointTol: math.NaN()}},
 		{"negative TailEps", SolveOptions{TailEps: -1}},
-		{"Damping above one", SolveOptions{Damping: 1.5}},
-		{"negative Damping", SolveOptions{Damping: -0.1}},
 		{"negative MaxIterations", SolveOptions{MaxIterations: -3}},
 		{"negative TruncationCap", SolveOptions{TruncationCap: -1}},
 		{"negative MaxFitOrder", SolveOptions{MaxFitOrder: -2}},
@@ -172,8 +170,7 @@ func TestSolveOptionsValidate(t *testing.T) {
 	}
 	good := []SolveOptions{
 		{},
-		{FixedPointTol: 1e-8, MaxIterations: 50, Damping: 0.5, TailEps: 1e-12},
-		{Damping: 1},
+		{FixedPointTol: 1e-8, MaxIterations: 50, TailEps: 1e-12},
 	}
 	for i, o := range good {
 		if err := o.Validate(); err != nil {

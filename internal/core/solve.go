@@ -77,6 +77,12 @@ type Result struct {
 	Classes    []ClassResult
 	Iterations int // fixed-point iterations performed (1 = heavy traffic only)
 	Converged  bool
+	// FixedPointResidual is the last round's distance from a fixed point:
+	// the largest relative change, over classes, of the effective-quantum
+	// parameters (conditional mean, conditional SCV, atom at zero) between
+	// what the round consumed and what it produced. A converged result
+	// has it below SolveOptions.FixedPointTol.
+	FixedPointResidual float64
 	// TotalN is Σ_p N_p over stable classes.
 	TotalN float64
 	// MeanCycle is the converged mean timeplexing-cycle length
@@ -85,6 +91,19 @@ type Result struct {
 	// Counters are this run's pipeline statistics: chains built vs
 	// refilled, QBD solves, R iterations.
 	Counters Counters
+}
+
+// ConvergenceErr returns nil for a converged result, and otherwise the
+// typed certify.ErrNotConverged failure of a fixed point that exhausted
+// its iteration budget: its numbers are not a fixed point. A
+// heavy-traffic result is unconverged by design, so its callers do not
+// ask.
+func (r *Result) ConvergenceErr() error {
+	if r.Converged {
+		return nil
+	}
+	return &certify.Failure{Kind: certify.ErrNotConverged, Stage: "core.fixedpoint",
+		Iterations: r.Iterations, Residual: r.FixedPointResidual}
 }
 
 // ErrAllUnstable is returned when no class satisfies the drift condition.
@@ -116,19 +135,28 @@ func Solve(m *Model, opts SolveOptions) (*Result, error) {
 
 // runFixedPoint is the pipeline driver: per iteration it runs stages
 // 2–4 for every class (build/refill → QBD solve → quantum extraction),
-// checks convergence of the mean populations, and rebuilds the
+// checks whether the round reached the fixed point, and rebuilds the
 // effective quanta for the next round. The per-class solves are
 // mutually independent given the iteration's quanta, so they dispatch
 // onto the session's bounded worker group (solveClasses); everything
 // from the convergence check down runs on the driver goroutine.
+//
+// The iteration is the plain one: each round consumes the quantum
+// parameters the previous round produced. It stops only at a fixed
+// point — when both every class's mean population and every class's
+// quantum parameters changed by less than FixedPointTol — so a round
+// that merely repeats its inputs can never pass for convergence.
 func (s *Session) runFixedPoint(m *Model, opts SolveOptions, cnt *Counters) (*Result, error) {
 	l := m.NumClasses()
 	quanta := nominalQuanta(m) // effective-quantum stand-ins, heavy-traffic init
+	nominal := make([]quantumParams, l)
+	for p := range nominal {
+		nominal[p] = nominalParams(m.Classes[p].Quantum)
+	}
+	consumed := append([]quantumParams(nil), nominal...) // what quanta were built from
+	produced := make([]quantumParams, l)
 	prevN := make([]float64, l)
-	hist := make([][]quantumParams, l) // recent parameter iterates per class
 	workers := opts.workers(l)
-	accel := !opts.DisableAcceleration
-	var stall accelStall
 
 	var res *Result
 	for iter := 1; iter <= opts.MaxIterations; iter++ {
@@ -173,67 +201,38 @@ func (s *Session) runFixedPoint(m *Model, opts SolveOptions, cnt *Counters) (*Re
 			return res, ErrAllUnstable
 		}
 
-		// Convergence check on the mean populations of stable classes.
+		// Convergence: the change in the stable classes' mean populations,
+		// and the residual of the iterated variable itself — how far the
+		// quantum parameters this round produced are from the ones it
+		// consumed. Unstable (and failed) classes always exhaust their
+		// quantum, so they produce G_p.
 		maxDelta := 0.0
 		for p := 0; p < l; p++ {
-			if !res.Classes[p].Stable {
-				continue
+			cr := &res.Classes[p]
+			produced[p] = nominal[p]
+			if cr.Stable {
+				produced[p] = effectiveParams(cr.Effective)
+				maxDelta = max(maxDelta, relChange(cr.N, prevN[p]))
+				prevN[p] = cr.N
 			}
-			d := math.Abs(res.Classes[p].N-prevN[p]) / (1 + math.Abs(res.Classes[p].N))
-			if d > maxDelta {
-				maxDelta = d
-			}
-			prevN[p] = res.Classes[p].N
+			res.FixedPointResidual = max(res.FixedPointResidual, produced[p].change(consumed[p]))
 		}
-		if iter > 1 && maxDelta < opts.FixedPointTol {
+		if iter > 1 && maxDelta < opts.FixedPointTol && res.FixedPointResidual < opts.FixedPointTol {
 			res.Converged = true
 			break
 		}
 		if iter == opts.MaxIterations {
 			break
 		}
-		// Safeguard on the Δ² acceleration: the componentwise extrapolation
-		// can overshoot on coupled multi-class maps and settle into a limit
-		// cycle that orbits the fixed point without ever meeting the
-		// tolerance (first seen on a high-SCV bulk-arrival class, where the
-		// accelerated iterates cycled at ~1e-3 relative amplitude forever
-		// while the plain contraction converged in 19 rounds). When the
-		// convergence metric stops reaching new lows for a full window of
-		// rounds, drop the extrapolation for the rest of the solve and let
-		// the monotone plain iteration finish the job. Solves that were
-		// converging anyway never trip this, so their iterates — and every
-		// artifact pinned to them — are bit-for-bit unchanged.
-		if iter > 1 && accel && stall.step(maxDelta) {
-			accel = false
-		}
 
-		// Rebuild the effective quanta for the next round. Unstable
-		// classes always exhaust their quantum, so they keep G_p.
+		// Rebuild the effective quanta for the next round.
 		for p := 0; p < l; p++ {
-			cr := &res.Classes[p]
-			if !cr.Stable || cr.Effective == nil {
+			consumed[p] = produced[p]
+			if !res.Classes[p].Stable {
 				quanta[p] = m.Classes[p].Quantum
-				hist[p] = hist[p][:0]
 				continue
 			}
-			pr := quantumParams{
-				mean: cr.Effective.ConditionalMean(),
-				scv:  cr.Effective.ConditionalSCV(),
-				atom: cr.Effective.Atom,
-			}
-			if n := len(hist[p]); n > 0 && opts.Damping < 1 {
-				pr = pr.blend(hist[p][n-1], opts.Damping)
-			}
-			hist[p] = append(hist[p], pr)
-			// Aitken Δ² extrapolation on three consecutive iterates: the
-			// plain iteration is a slow linear contraction, acceleration
-			// typically cuts the iteration count by an order of magnitude.
-			if accel && len(hist[p]) >= 3 {
-				n := len(hist[p])
-				pr = aitken(hist[p][n-3], hist[p][n-2], hist[p][n-1])
-				hist[p] = append(hist[p][:0], pr)
-			}
-			red, err := pr.dist(opts.MaxFitOrder)
+			red, err := produced[p].dist(opts.MaxFitOrder)
 			if err != nil {
 				return nil, &certify.Failure{
 					Kind:  certify.Classify(err, certify.ErrNumericContaminated),
@@ -255,61 +254,43 @@ func (s *Session) runFixedPoint(m *Model, opts SolveOptions, cnt *Counters) (*Re
 		}
 	}
 	// Fault-injection point: tests force a typed failure on an otherwise
-	// healthy result to drive the sweep harness's retry-and-escalate path.
+	// healthy result to drive the callers' failure handling.
 	if ferr := faultinject.Fire("core.result", res); ferr != nil {
 		return res, ferr
 	}
 	return res, nil
 }
 
-// accelStallWindow is how many consecutive fixed-point rounds may pass
-// without a new low in the convergence metric before the Δ² acceleration
-// is judged to be cycling rather than converging. Ten rounds is more
-// than three full extrapolation periods (the acceleration fires every
-// third iterate). The margin matters: traced accelerated solves that do
-// converge show a decaying oscillation that sets a new low at least
-// once per period after a transition plateau of up to six stale rounds,
-// so a window of ten leaves them untouched — and their committed
-// artifacts bit-identical — while a genuine limit cycle (constant
-// amplitude, no new lows ever) still trips it a few rounds later.
-const accelStallWindow = 10
-
-// accelStall watches the fixed point's convergence metric for the
-// acceleration safeguard: it remembers the best (lowest) maxDelta seen
-// and counts rounds since that low was last improved.
-type accelStall struct {
-	best  float64
-	stale int
-}
-
-// step records one round's convergence metric and reports whether the
-// acceleration should be abandoned: true once accelStallWindow rounds
-// have passed without a new low. A zero accelStall is ready to use (its
-// zero best is replaced on the first call because any metric beats an
-// unset best).
-func (a *accelStall) step(delta float64) bool {
-	if a.best == 0 || delta < a.best {
-		a.best = delta
-		a.stale = 0
-		return false
-	}
-	a.stale++
-	return a.stale >= accelStallWindow
+// relChange is the relative change from old to x used by both
+// convergence tests: |x − old| / (1 + |x|), so a quantity near zero is
+// held to an absolute tolerance rather than an ever tighter relative
+// one.
+func relChange(x, old float64) float64 {
+	return math.Abs(x-old) / (1 + math.Abs(x))
 }
 
 // quantumParams is the reduced parameterization of an effective quantum
-// carried through the fixed point: conditional mean, conditional SCV, and
-// the atom at zero.
+// carried through the fixed point — conditional mean, conditional SCV,
+// and the atom at zero. It is the variable the iteration iterates.
 type quantumParams struct {
 	mean, scv, atom float64
 }
 
-func (p quantumParams) blend(prev quantumParams, theta float64) quantumParams {
-	return quantumParams{
-		mean: theta*p.mean + (1-theta)*prev.mean,
-		scv:  theta*p.scv + (1-theta)*prev.scv,
-		atom: theta*p.atom + (1-theta)*prev.atom,
-	}
+// effectiveParams reads a stable class's produced quantum.
+func effectiveParams(e *EffectiveQuantum) quantumParams {
+	return quantumParams{mean: e.ConditionalMean(), scv: e.ConditionalSCV(), atom: e.Atom}
+}
+
+// nominalParams reads the nominal quantum G_p in the same terms.
+func nominalParams(g *phase.Dist) quantumParams {
+	eq := &EffectiveQuantum{Atom: g.AtomAtZero()}
+	eq.Moments[0], eq.Moments[1] = g.Moment(1), g.Moment(2)
+	return effectiveParams(eq)
+}
+
+// change is the largest relative change of any parameter from old to p.
+func (p quantumParams) change(old quantumParams) float64 {
+	return max(relChange(p.mean, old.mean), relChange(p.scv, old.scv), relChange(p.atom, old.atom))
 }
 
 func (p quantumParams) dist(maxOrder int) (*phase.Dist, error) {
@@ -317,35 +298,4 @@ func (p quantumParams) dist(maxOrder int) (*phase.Dist, error) {
 	eq.Moments[0] = p.mean * (1 - p.atom)
 	eq.Moments[1] = (p.scv + 1) * p.mean * p.mean * (1 - p.atom)
 	return eq.ReducedDist(maxOrder)
-}
-
-// aitken applies the Δ² extrapolation componentwise to three consecutive
-// iterates, clamping the results to their physical ranges.
-func aitken(x0, x1, x2 quantumParams) quantumParams {
-	acc := func(a, b, c float64) float64 {
-		d2 := (c - b) - (b - a)
-		if math.Abs(d2) < 1e-14 {
-			return c
-		}
-		return c - (c-b)*(c-b)/d2
-	}
-	out := quantumParams{
-		mean: acc(x0.mean, x1.mean, x2.mean),
-		scv:  acc(x0.scv, x1.scv, x2.scv),
-		atom: acc(x0.atom, x1.atom, x2.atom),
-	}
-	out.mean = clamp(out.mean, 1e-9, math.Max(x2.mean*10, 1e-6))
-	out.scv = clamp(out.scv, 0.01, math.Max(x2.scv*10, 0.02))
-	out.atom = clamp(out.atom, 0, 0.9999)
-	return out
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

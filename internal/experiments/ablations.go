@@ -8,6 +8,18 @@ import (
 	"repro/internal/sim"
 )
 
+// solve is core.Solve for the tables: a fixed point that exhausted its
+// budget is an error, which the caller wraps with its table and point,
+// never a row. Heavy-traffic solves are unconverged by design and call
+// core.SolveHeavyTraffic directly.
+func solve(m *core.Model, opts core.SolveOptions) (*core.Result, error) {
+	res, err := core.Solve(m, opts)
+	if err == nil {
+		err = res.ConvergenceErr()
+	}
+	return res, err
+}
+
 // AblationHeavyVsFixedPoint (DESIGN.md A1) compares the heavy-traffic
 // initialization (Theorem 4.1 only) against the converged Theorem 4.3
 // fixed point across loads, at quantum mean 1.
@@ -25,7 +37,7 @@ func AblationHeavyVsFixedPoint(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: A1 rho %g heavy: %w", rho, err)
 		}
-		fp, err := core.Solve(m, opts.Solve)
+		fp, err := solve(m, opts.Solve)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: A1 rho %g fixed: %w", rho, err)
 		}
@@ -47,7 +59,7 @@ func AblationFitOrder(opts Options) (*Table, error) {
 		o := opts.Solve
 		o.MaxFitOrder = ord
 		m := PaperModel(same4(0.6), PaperServiceRates, same4(1), 0.01)
-		res, err := core.Solve(m, o)
+		res, err := solve(m, o)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: A2 order %d: %w", ord, err)
 		}
@@ -85,7 +97,7 @@ func AblationQuantumShape(opts Options) (*Table, error) {
 		for p := range m.Classes {
 			m.Classes[p].Quantum = s.dist()
 		}
-		res, err := core.Solve(m, opts.Solve)
+		res, err := solve(m, opts.Solve)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: A3 scv %g: %w", s.scv, err)
 		}
@@ -110,7 +122,7 @@ func AblationOverhead(opts Options) (*Table, error) {
 	}
 	for _, oh := range []float64{0.001, 0.01, 0.05, 0.1, 0.2, 0.4} {
 		m := PaperModel(same4(0.6), PaperServiceRates, same4(1), oh)
-		res, err := core.Solve(m, opts.Solve)
+		res, err := solve(m, opts.Solve)
 		if err != nil && err != core.ErrAllUnstable {
 			return nil, fmt.Errorf("experiments: A4 overhead %g: %w", oh, err)
 		}
@@ -204,7 +216,7 @@ func ArrivalVariability(opts Options) (*Table, error) {
 			}
 			m.Classes[p].Arrival = d
 		}
-		res, err := core.Solve(m, opts.Solve)
+		res, err := solve(m, opts.Solve)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: A8 scv %g: %w", scv, err)
 		}
@@ -249,7 +261,7 @@ func DecompositionError(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: A7 rho %g exact: %w", rho, err)
 		}
-		fp, err := core.Solve(m, opts.Solve)
+		fp, err := solve(m, opts.Solve)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: A7 rho %g fixed: %w", rho, err)
 		}
@@ -323,7 +335,7 @@ func BatchSensitivity(opts Options) (*Table, error) {
 				Batch:     batch,
 			}},
 		}
-		res, err := core.Solve(m, opts.Solve)
+		res, err := solve(m, opts.Solve)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: batch %d: %w", k, err)
 		}

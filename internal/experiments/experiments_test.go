@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/certify"
+	"repro/internal/core"
 )
 
 // argmin returns the x whose column value is smallest.
@@ -354,6 +357,32 @@ func TestMachineScaling(t *testing.T) {
 		perProc := row[3]
 		if perProc < 0.5 || perProc > 3 {
 			t.Fatalf("P=%g: N/processor = %g implausible", row[0], perProc)
+		}
+	}
+}
+
+// TestTablesRefuseUnconvergedFixedPoints: with a two-round budget no
+// multi-class fixed point converges, and every table built from one
+// fails with a not-converged error that names the table and the point, instead of printing a row that is not a fixed point.
+func TestTablesRefuseUnconvergedFixedPoints(t *testing.T) {
+	opts := Options{Solve: core.SolveOptions{MaxIterations: 2}}
+	for _, tc := range []struct {
+		name string
+		run  func(Options) (*Table, error)
+		want string
+	}{
+		{"A1", AblationHeavyVsFixedPoint, "A1 rho 0.2"},
+		{"A2", AblationFitOrder, "A2 order 2"},
+		{"A3", AblationQuantumShape, "A3 scv 0.25"},
+		{"A4", AblationOverhead, "A4 overhead 0.001"},
+		{"A7", DecompositionError, "A7 rho 0.2"},
+		{"A8", ArrivalVariability, "A8 scv 0.25"},
+		{"Figure 2", Figure2, "quantum 0.1"},
+	} {
+		tab, err := tc.run(opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) ||
+			!strings.Contains(err.Error(), certify.ErrNotConverged.Error()) {
+			t.Fatalf("%s: table %v, error %v; want a not-converged error naming %q", tc.name, tab != nil, err, tc.want)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func SelfTest() ([]SelfTestCheck, error) {
 			Quantum: phase.Exponential(1e-4), Overhead: phase.Exponential(1e4),
 		}},
 	}
-	res, err := core.Solve(mmc, core.SolveOptions{})
+	res, err := solve(mmc, core.SolveOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("selftest M/M/c: %w", err)
 	}
@@ -61,7 +61,7 @@ func SelfTest() ([]SelfTestCheck, error) {
 			Quantum: phase.Exponential(1e-7), Overhead: phase.Exponential(1),
 		}},
 	}
-	res, err = core.Solve(vac, core.SolveOptions{})
+	res, err = solve(vac, core.SolveOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("selftest vacation: %w", err)
 	}
@@ -77,7 +77,7 @@ func SelfTest() ([]SelfTestCheck, error) {
 			Batch: []float64{0, 0, 1},
 		}},
 	}
-	res, err = core.Solve(bm, core.SolveOptions{})
+	res, err = solve(bm, core.SolveOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("selftest batch: %w", err)
 	}
@@ -98,7 +98,7 @@ func SelfTest() ([]SelfTestCheck, error) {
 	if err != nil {
 		return nil, fmt.Errorf("selftest exact: %w", err)
 	}
-	fp, err := core.Solve(two, core.SolveOptions{})
+	fp, err := solve(two, core.SolveOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("selftest exact/fixed: %w", err)
 	}

@@ -261,7 +261,7 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 // ErrDeadline if a rung was interrupted by the caller's deadline (the
 // ladder aborted; Iterations carries the partial progress), else
 // ErrNumericContaminated if any rung died of contamination, otherwise
-// ErrNotConverged (the retryable kind).
+// ErrNotConverged.
 func ladderFailure(iters int, rungs []error) error {
 	joined := errors.Join(rungs...)
 	kind := certify.ErrNotConverged

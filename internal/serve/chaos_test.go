@@ -63,7 +63,7 @@ func TestChaosSoak(t *testing.T) {
 	if err := seed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "cache.jsonl")
+	path := filepath.Join(dir, sweep.CacheFile)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func (r *SolveRequest) validate() error {
 			}
 		}
 	}
-	for _, v := range []float64{r.Solve.FixedPointTol, r.Solve.Damping, r.Solve.TailEps} {
+	for _, v := range []float64{r.Solve.FixedPointTol, r.Solve.TailEps} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return confErrf("solve options have a non-finite parameter")
 		}
@@ -145,13 +145,17 @@ type SolveResponse struct {
 	// Key is the content-addressed identity of the answer — the same
 	// SHA-256 a gangsweep trial of these parameters would be cached
 	// under.
-	Key        string        `json:"key"`
-	Method     sweep.Method  `json:"method"`
-	Converged  bool          `json:"converged"`
-	Iterations int           `json:"iterations"`
-	TotalN     float64       `json:"totalN"`
-	MeanCycle  float64       `json:"meanCycle"`
-	Classes    []ClassAnswer `json:"classes"`
+	Key        string       `json:"key"`
+	Method     sweep.Method `json:"method"`
+	Converged  bool         `json:"converged"`
+	Iterations int          `json:"iterations"`
+	// FixedPointResidual is the fixed point's last-round residual
+	// (core.Result.FixedPointResidual): below the request's tolerance
+	// when converged.
+	FixedPointResidual float64       `json:"fixedPointResidual"`
+	TotalN             float64       `json:"totalN"`
+	MeanCycle          float64       `json:"meanCycle"`
+	Classes            []ClassAnswer `json:"classes"`
 	// Degraded is true when any class fell back to simulation.
 	Degraded bool `json:"degraded,omitempty"`
 	// Cached marks an answer served from the answer store with zero

@@ -101,7 +101,7 @@ func TestSolveEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if !resp.Converged || resp.Key == "" {
+	if !resp.Converged || resp.Key == "" || !(resp.FixedPointResidual < 1e-6) {
 		t.Fatalf("unhealthy response: %+v", resp)
 	}
 	ca := resp.Classes[0]
@@ -218,6 +218,9 @@ func TestServedAnswerIsOneShotSolve(t *testing.T) {
 				t.Errorf("lambda=%g class %d: served N %v, one-shot N %v (diff %g)", lambda, p, got, cr.N, got-cr.N)
 			}
 		}
+		if resp.FixedPointResidual != want.FixedPointResidual {
+			t.Errorf("lambda=%g: served residual %v, one-shot residual %v", lambda, resp.FixedPointResidual, want.FixedPointResidual)
+		}
 		keys = append(keys, resp.Key)
 	}
 	if n := s.store.diskLen(); n != len(keys) {
@@ -259,9 +262,10 @@ func TestDiskCacheSharedWithSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	trial := sweep.Trial{Scenario: testScenario(0.55), Method: sweep.MethodAnalytic}
-	if _, err := sweep.RunTrials(context.Background(), []sweep.Trial{trial}, sweep.Options{
+	run, err := sweep.RunTrials(context.Background(), []sweep.Trial{trial}, sweep.Options{
 		Workers: 1, Cache: cache,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cache.Close(); err != nil {
@@ -277,8 +281,43 @@ func TestDiskCacheSharedWithSweep(t *testing.T) {
 	if !resp.Classes[0].Stable || resp.Classes[0].N <= 0 {
 		t.Fatalf("rehydrated answer: %+v", resp.Classes[0])
 	}
+	if want := run.Results[0].Values["fixedPointResidual"]; resp.FixedPointResidual != want || !(want < 1e-6) {
+		t.Fatalf("rehydrated residual %v, sweep recorded %v", resp.FixedPointResidual, want)
+	}
 	if got := s.met.trialSolves.Load() - before; got != 0 {
 		t.Fatalf("disk hit made %d shard solves", got)
+	}
+}
+
+// TestDiskTierHoldsNoUnconvergedSweepTrial: a sweep trial whose fixed
+// point runs out of budget fails and is not cached, so a daemon on the
+// same directory solves the request itself and answers 422 — never a
+// disk-tier 200 that calls the unconverged values converged.
+func TestDiskTierHoldsNoUnconvergedSweepTrial(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, budget := multiClassScenario(2, 0.3), sweep.SolveParams{MaxIterations: 2}
+	trial := sweep.Trial{Scenario: sc, Method: sweep.MethodAnalytic, Solve: budget}
+	run, err := sweep.RunTrials(context.Background(), []sweep.Trial{trial}, sweep.Options{
+		Workers: 1, Cache: cache,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := run.Results[0]; r.Status != sweep.StatusError || r.Kind != "not-converged" {
+		t.Fatalf("two-round sweep trial: status %q kind %q, want a not-converged error", r.Status, r.Kind)
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, Config{CacheDir: dir})
+	code, resp := solve(t, hs, SolveRequest{Scenario: sc, Solve: budget})
+	if code != http.StatusUnprocessableEntity || resp.Cached || resp.Converged {
+		t.Fatalf("status %d, cached %v, converged %v; want a fresh 422", code, resp.Cached, resp.Converged)
 	}
 }
 
@@ -455,6 +494,10 @@ func TestRequestRejections(t *testing.T) {
 		{"bad method", `{"method":"sim","scenario":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`},
 		{"negative timeout", `{"timeoutMillis":-5,"scenario":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`},
 		{"partition does not divide", `{"scenario":{"processors":3,"classes":[{"partition":2,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`},
+		// The fixed point's damping and acceleration knobs are gone; a
+		// request naming either is an unknown field, not a silent no-op.
+		{"removed damping", `{"solve":{"damping":0.5},"scenario":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`},
+		{"removed acceleration", `{"solve":{"disableAcceleration":true},"scenario":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`},
 		{"oversized", `{"scenario":{"processors":2,"classes":[` + strings.Repeat(`{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01},`, 20) + `]}}`},
 	}
 	for _, tc := range cases {

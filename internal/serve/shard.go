@@ -170,7 +170,7 @@ func runTask(p *pool, sh *shard, tk *task) taskResult {
 // solveShielded runs one request on the shard's session behind a
 // recover barrier, plus the "serve.task" fault-injection point chaos
 // tests use to panic or fail a shard on demand. The solve is a sweep
-// trial's single, final attempt (sweep.Exec), so served and batch
+// trial's single attempt (sweep.Exec), so served and batch
 // answers come from one code path and fail the same way; the request
 // context threads into the QBD iteration loops, so the deadline
 // interrupts a runaway solve mid-R-iteration instead of waiting for it
@@ -186,7 +186,6 @@ func solveShielded(p *pool, sh *shard, tk *task) (resp *SolveResponse, err error
 	}
 	out, err := sweep.Exec(tk.trial, sweep.ExecPolicy{
 		AllowDegraded: tk.allowDegraded,
-		FinalAttempt:  true,
 		SolveParallel: p.parallel,
 		Ctx:           tk.ctx,
 	}, sh.session())

@@ -106,12 +106,13 @@ func (s *store) close() error {
 // carry no certificates — the response says so via CacheTier "disk".
 func responseFromValues(key string, method sweep.Method, values map[string]float64) *SolveResponse {
 	resp := &SolveResponse{
-		Key:        key,
-		Method:     method,
-		Converged:  true,
-		Iterations: int(values["iterations"]),
-		TotalN:     values["totalN"],
-		MeanCycle:  values["meanCycle"],
+		Key:                key,
+		Method:             method,
+		Converged:          true,
+		Iterations:         int(values["iterations"]),
+		FixedPointResidual: values["fixedPointResidual"],
+		TotalN:             values["totalN"],
+		MeanCycle:          values["meanCycle"],
 	}
 	for p := 0; ; p++ {
 		n, ok := values[fmt.Sprintf("N%d", p)]

@@ -11,6 +11,14 @@ import (
 	"sync"
 )
 
+// CacheFile names the disk tier's file inside a cache directory. Keys
+// address trials, not the code that answered them, so the name carries a
+// version: change it whenever answers change under unchanged keys, and
+// directories filled by older code stop being read instead of serving
+// their answers as cached. v2: the Theorem 4.3 fixed point stops only
+// at a fixed point, and some answers of cache.jsonl were not.
+const CacheFile = "cache.v2.jsonl"
+
 // cacheShards is the stripe count of the memory tier. Keys are content
 // hashes, so they spread uniformly; 64 stripes keeps the probability of
 // two workers colliding on one mutex negligible at any realistic pool
@@ -28,7 +36,7 @@ type cacheShard struct {
 // directory. Keys are content hashes of the trials (Trial.Key), so the
 // cache is safely shared between unrelated sweeps, and interrupted or
 // repeated runs skip every trial whose result is already on disk. Only
-// successful results are stored; errors and panics are always retried on
+// successful results are stored; errors and panics are computed again on
 // a re-run.
 //
 // Every appended record carries a CRC32C of its content, and opening the
@@ -149,7 +157,7 @@ func OpenCacheWith(dir string, opts CacheOptions) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
 	}
-	path := filepath.Join(dir, "cache.jsonl")
+	path := filepath.Join(dir, CacheFile)
 	c := NewMemCache()
 	c.fsync = opts.Fsync
 	if err := c.loadAndRecover(path); err != nil {

@@ -14,11 +14,18 @@ import (
 )
 
 // TestConfigErrorTypedNotRetried (satellite): a trial whose scenario
-// cannot even build a model must fail as a config error on the first
-// attempt — not report converged=true, not burn retries.
+// cannot even build a model must fail as a config error from its one
+// attempt — not report converged=true, not run again.
 func TestConfigErrorTypedNotRetried(t *testing.T) {
 	bad := testSpec().Base
 	bad.Classes[0].Lambda = -1
+	orig := execute
+	defer func() { execute = orig }()
+	calls := 0
+	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
+		calls++
+		return orig(tr, pol, ses)
+	}
 	trials := []Trial{{Scenario: bad, Method: MethodAnalytic}}
 	run, err := RunTrials(context.Background(), trials, Options{Workers: 1})
 	if err != nil {
@@ -28,8 +35,8 @@ func TestConfigErrorTypedNotRetried(t *testing.T) {
 	if r.Status != StatusError || r.Err == "" {
 		t.Fatalf("bad scenario → %+v, want error status", r)
 	}
-	if r.Attempts != 1 {
-		t.Fatalf("config error burned %d attempts, want 1", r.Attempts)
+	if calls != 1 {
+		t.Fatalf("config error ran %d attempts, want 1", calls)
 	}
 	if r.Kind != "config" {
 		t.Fatalf("kind %q, want config", r.Kind)
@@ -48,39 +55,46 @@ func TestUnknownMethodTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := run.Results[0]
-	if r.Status != StatusError || r.Kind != "config" || r.Attempts != 1 {
+	if r.Status != StatusError || r.Kind != "config" {
 		t.Fatalf("unknown method → %+v (kind %q)", r, r.Kind)
 	}
 }
 
-// TestRetryRecoversInjectedNonConvergence (satellite): a deterministic
-// injected ErrNotConverged on the first attempt must succeed on retry
-// with an escalated budget, and the manifest must record both attempts.
-func TestRetryRecoversInjectedNonConvergence(t *testing.T) {
+// TestInjectedNonConvergenceIsFinal: a typed ErrNotConverged from the
+// solver fails the trial on its one attempt — kind not-converged, no
+// values, nothing cached — and a re-run over the same cache solves it
+// afresh.
+func TestInjectedNonConvergenceIsFinal(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.ArmOnce("core.result", func(any) error {
 		return &certify.Failure{Kind: certify.ErrNotConverged, Stage: "test.inject"}
 	})
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
 	trials := []Trial{{Scenario: testSpec().Base, Method: MethodAnalytic}}
-	run, err := RunTrials(context.Background(), trials, Options{Workers: 1})
+	run, err := RunTrials(context.Background(), trials, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := run.Results[0]
-	if r.Status != StatusOK {
-		t.Fatalf("retry did not recover: %+v", r)
+	if r.Status != StatusError || r.Kind != "not-converged" || r.Values != nil {
+		t.Fatalf("injected non-convergence → %+v, want a not-converged error without values", r)
 	}
-	if r.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", r.Attempts)
+	if pt := run.Manifest.PerTrial[0]; pt.Status != StatusError || pt.Kind != "not-converged" || run.Manifest.Errors != 1 {
+		t.Fatalf("manifest %+v, per-trial %+v", run.Manifest, pt)
 	}
-	if run.Manifest.Retries != 1 {
-		t.Fatalf("manifest retries = %d, want 1", run.Manifest.Retries)
+	if cache.Len() != 0 {
+		t.Fatalf("failed trial cached: %d records", cache.Len())
 	}
-	if pt := run.Manifest.PerTrial[0]; pt.Attempts != 2 || pt.Status != StatusOK {
-		t.Fatalf("manifest per-trial record: %+v", pt)
+	run, err = RunTrials(context.Background(), trials, Options{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Values["N0"] <= 0 {
-		t.Fatalf("recovered values implausible: %v", r.Values)
+	if r := run.Results[0]; r.Status != StatusOK || r.Values["N0"] <= 0 {
+		t.Fatalf("re-run after the fault → %+v, want a fresh ok solve", r)
 	}
 }
 

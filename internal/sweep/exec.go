@@ -22,11 +22,9 @@ const (
 // boundary, so sweeps that cross the boundary still produce full grids.
 const Unstable = -1
 
-// ExecPolicy tells one trial attempt how to treat per-class solver
-// failures. The runner sets FinalAttempt once the retry budget is spent,
-// at which point an attempt that would otherwise error may degrade
-// failed classes to the discrete-event simulator; gangserved's shards
-// always set it, since a served request gets exactly one attempt.
+// ExecPolicy tells a trial's single attempt how to treat per-class
+// solver failures. The sweep runner and gangserved's shards both give a
+// trial exactly one attempt.
 type ExecPolicy struct {
 	// Strict turns every per-class failure into a trial error — no
 	// degradation, ever.
@@ -34,9 +32,6 @@ type ExecPolicy struct {
 	// AllowDegraded permits falling back to simulation for classes whose
 	// analytic solve failed certification.
 	AllowDegraded bool
-	// FinalAttempt is true when no retries remain: retryable failures
-	// should degrade (if allowed) rather than error.
-	FinalAttempt bool
 	// SolveParallel is the intra-solve parallelism forwarded to
 	// core.SolveOptions.Parallel for analytic methods; ≤ 1 keeps the
 	// serial path. Execution-level only — it never enters Trial hashing
@@ -76,10 +71,11 @@ type Outcome struct {
 // Exec runs one trial attempt and guards its values: a NaN or ±Inf must
 // never reach artifacts, the cache or a served answer, whatever produced
 // it. Failures are typed: configuration errors (bad scenario, unknown
-// method) are certify.ErrConfig and never retried; fixed-point
-// non-convergence is certify.ErrNotConverged and retried with an
-// escalated budget; numeric contamination is
-// certify.ErrNumericContaminated. Analytic and heavy-traffic solves
+// method) are certify.ErrConfig; numeric contamination is
+// certify.ErrNumericContaminated. A fixed point that exhausts its
+// budget is not an error here — the Outcome says Converged false and
+// each caller decides (the runner fails the trial, gangserved ships the
+// partial answer under 422). Analytic and heavy-traffic solves
 // resolve through the caller's session ses, which must be non-nil for
 // them; other methods ignore it. Exec does not recover panics: the
 // sweep runner and gangserved's shards each contain them their own way.
@@ -149,11 +145,6 @@ var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) 
 		if pol.Strict || !pol.AllowDegraded {
 			return Outcome{}, ferr
 		}
-		if !pol.FinalAttempt && errors.Is(ferr, certify.ErrNotConverged) {
-			// Retryable: let the runner escalate the budget first;
-			// degradation is the last rung, not the first.
-			return Outcome{}, ferr
-		}
 		// Degradation rung: one simulation run replaces the values of
 		// exactly the failed classes; healthy classes keep their
 		// certified analytic values. The runner records the outcome as
@@ -205,10 +196,10 @@ var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) 
 // analyticValues records an analytic solve as the trial's value map:
 // each class's N and T (the Unstable sentinel past its stability
 // boundary), their total over the classes with values, the fixed-point
-// iteration count and the mean cycle. A failed class (non-nil Err) takes
+// iteration count and residual, and the mean cycle. A failed class (non-nil Err) takes
 // its N and T from the simulation run sres.
 func analyticValues(res *core.Result, sres *sim.Result) map[string]float64 {
-	values := make(map[string]float64, 2*len(res.Classes)+3)
+	values := make(map[string]float64, 2*len(res.Classes)+4)
 	total := 0.0
 	for p, cr := range res.Classes {
 		n, t := float64(Unstable), float64(Unstable)
@@ -225,6 +216,7 @@ func analyticValues(res *core.Result, sres *sim.Result) map[string]float64 {
 	}
 	values["totalN"] = total
 	values["iterations"] = float64(res.Iterations)
+	values["fixedPointResidual"] = res.FixedPointResidual
 	values["meanCycle"] = res.MeanCycle
 	return values
 }

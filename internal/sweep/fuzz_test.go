@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzCacheRecovery: recovery-on-open must absorb arbitrary bytes in
-// cache.jsonl — no panic, no open error — and repair the file in place:
+// the cache file — no panic, no open error — and repair it in place:
 // after the open, an append and a reopen must find a pristine file with
 // the new record intact.
 func FuzzCacheRecovery(f *testing.F) {
@@ -19,7 +19,7 @@ func FuzzCacheRecovery(f *testing.F) {
 	f.Add([]byte("{\"key\":\"a\",\"values\":null}\n\n\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "cache.jsonl"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, CacheFile), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		c, err := OpenCache(dir)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -51,5 +53,37 @@ func TestColdGridGolden(t *testing.T) {
 			}
 			t.Fatalf("workers=%d: results.jsonl has %d lines, golden %d", workers, len(gl), len(wl))
 		}
+	}
+}
+
+// TestColdGridStopsAtFixedPoints: every cold-grid answer is a fixed
+// point — its residual is below the default tolerance — and trial
+// 20c5318c, one whose every round-2 input repeats round 1 because a class
+// is unstable under the heavy-traffic start, reads the fixed point the
+// plain iteration reaches in 123 rounds (total N 5.2385), not the
+// 4-round stop at 18.78 that an Aitken-accelerated iteration once
+// accepted. Unlike the golden, this holds on any architecture.
+func TestColdGridStopsAtFixedPoints(t *testing.T) {
+	run, err := Execute(context.Background(), benchSpec(), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, r := range run.Results {
+		if r.Status != StatusOK {
+			t.Fatalf("trial %s: status %s (%s)", r.Key[:8], r.Status, r.Err)
+		}
+		if res := r.Values["fixedPointResidual"]; !(res < 1e-6) {
+			t.Fatalf("trial %s: residual %g, want < 1e-6", r.Key[:8], res)
+		}
+		if strings.HasPrefix(r.Key, "20c5318c") {
+			found = true
+			if n := r.Values["totalN"]; math.Abs(n-5.2385) > 5e-4 {
+				t.Fatalf("trial 20c5318c: total N %v after %v rounds, want 5.2385", n, r.Values["iterations"])
+			}
+		}
+	}
+	if !found {
+		t.Fatal("trial 20c5318c missing from the cold grid")
 	}
 }

@@ -9,13 +9,39 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/certify"
-	"repro/internal/certify/faultinject"
 )
 
-func cachePath(dir string) string { return filepath.Join(dir, "cache.jsonl") }
+func cachePath(dir string) string { return filepath.Join(dir, CacheFile) }
+
+// TestCacheIgnoresOlderVersionFile: a healthy record in the disk file of
+// an older answer version — cache.jsonl, written while the fixed point
+// could stop short of one — is a miss, and the old file is left as it
+// was.
+func TestCacheIgnoresOlderVersionFile(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "cache.jsonl")
+	line, err := encodeRecord("k", map[string]float64{"N0": 8.98})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if v, ok := c.Get("k"); ok || c.Len() != 0 {
+		t.Fatalf("older-version record served: %v (cache holds %d)", v, c.Len())
+	}
+	if rec := c.Recovery(); rec != (CacheRecovery{}) {
+		t.Fatalf("older-version file touched by recovery: %+v", rec)
+	}
+	if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, line) {
+		t.Fatalf("older-version file changed: %q, %v", got, err)
+	}
+}
 
 // TestCacheRecoveryTornTail: an unterminated final line (a crash
 // mid-append) is truncated away on open; the healthy records survive
@@ -224,72 +250,10 @@ func TestCacheFsyncOption(t *testing.T) {
 	}
 }
 
-// TestRetryDelayDeterministicJitter: the backoff schedule doubles per
-// attempt, jitters within [0.5, 1)× by trial key, and is a pure
-// function of (base, key, n) — identical runs sleep identically.
-func TestRetryDelayDeterministicJitter(t *testing.T) {
-	base := 40 * time.Millisecond
-	for n := 1; n <= 3; n++ {
-		d := retryDelay(base, "trial-a", n)
-		lo, hi := base<<uint(n-1)/2, base<<uint(n-1)
-		if d < lo || d >= hi {
-			t.Fatalf("retry %d: delay %v outside [%v, %v)", n, d, lo, hi)
-		}
-		if again := retryDelay(base, "trial-a", n); again != d {
-			t.Fatalf("retry %d: nondeterministic delay %v vs %v", n, d, again)
-		}
-	}
-	if retryDelay(base, "trial-a", 1) == retryDelay(base, "trial-b", 1) &&
-		retryDelay(base, "trial-a", 1) == retryDelay(base, "trial-c", 1) {
-		t.Fatal("jitter ignores the trial key")
-	}
-	if retryDelay(0, "trial-a", 1) != 0 {
-		t.Fatal("disabled backoff slept")
-	}
-}
-
-// TestRetryBackoffRecordedInManifest: a trial that burns its retries
-// sleeps the exponential backoff between attempts, and the manifest
-// records the total per trial.
-func TestRetryBackoffRecordedInManifest(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	faultinject.Arm("core.result", func(any) error {
-		return &certify.Failure{Kind: certify.ErrNotConverged, Stage: "test.inject"}
-	})
-	trials := []Trial{{Scenario: testSpec().Base, Method: MethodAnalytic}}
-	start := time.Now()
-	run, err := RunTrials(context.Background(), trials, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	r := run.Results[0]
-	if r.Status != StatusError || r.Attempts != 1+maxRetries {
-		t.Fatalf("result %+v, want error after %d attempts", r, 1+maxRetries)
-	}
-	// Two pauses of 25·f and 50·f ms for the trial's jitter factor f in
-	// [0.5, 1): 37.5–75ms in all, and the run must actually have slept
-	// them.
-	want := retryDelay(retryBackoff, r.Key, 1) + retryDelay(retryBackoff, r.Key, 2)
-	if r.Backoff != want || want < 3*retryBackoff/2 || want >= 3*retryBackoff {
-		t.Fatalf("backoff %v, want %v in [%v, %v)", r.Backoff, want, 3*retryBackoff/2, 3*retryBackoff)
-	}
-	pt := run.Manifest.PerTrial[0]
-	if pt.BackoffMillis != want.Milliseconds() {
-		t.Fatalf("manifest backoff %dms, want %dms", pt.BackoffMillis, want.Milliseconds())
-	}
-	if elapsed < time.Duration(pt.BackoffMillis)*time.Millisecond {
-		t.Fatalf("recorded %dms backoff but run took only %v", pt.BackoffMillis, elapsed)
-	}
-	// The field reaches the serialized manifest.
-	if enc, _ := json.Marshal(pt); !strings.Contains(string(enc), "backoffMillis") {
-		t.Fatalf("backoff missing from manifest JSON: %s", enc)
-	}
-}
-
-// TestManifestOmitsBackoffAndRecoveryWhenHealthy: first-try successes
-// and pristine caches add no new manifest fields — the byte-identity
-// guarantee for healthy artifacts.
+// TestManifestOmitsBackoffAndRecoveryWhenHealthy: healthy trials and
+// pristine caches add no manifest fields beyond the execution record —
+// no recovery report, and no retry bookkeeping, since every trial gets
+// exactly one attempt.
 func TestManifestOmitsBackoffAndRecoveryWhenHealthy(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenCache(dir)
@@ -306,7 +270,7 @@ func TestManifestOmitsBackoffAndRecoveryWhenHealthy(t *testing.T) {
 		t.Fatalf("healthy cache surfaced recovery: %+v", run.Manifest.CacheRecovery)
 	}
 	enc, _ := json.Marshal(run.Manifest)
-	for _, field := range []string{"backoffMillis", "cacheRecovery"} {
+	for _, field := range []string{"backoffMillis", "attempts", "retries", "cacheRecovery"} {
 		if strings.Contains(string(enc), field) {
 			t.Fatalf("healthy manifest grew field %q:\n%s", field, enc)
 		}

@@ -2,9 +2,7 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -30,7 +28,7 @@ type Options struct {
 	// Strict makes every certification failure a hard trial error: no
 	// degradation to simulation, ever.
 	Strict bool
-	// AllowDegraded lets an analytic trial whose retry budget is spent
+	// AllowDegraded lets an analytic trial whose per-class solve failed
 	// fall back to the discrete-event simulator for the failed classes.
 	// Degraded results are flagged in the result and manifest and are
 	// never cached.
@@ -61,19 +59,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// The retry policy for an analytic trial whose fixed point did not
-// converge: up to maxRetries extra attempts, each with the fixed-point
-// iteration budget multiplied by retryScale. Before retry n the trial
-// pauses retryDelay(retryBackoff, key, n): the base doubles per retry,
-// and a deterministic per-trial jitter (hashed from the trial key)
-// staggers a grid of boundary trials so they don't refire in lockstep.
-// The pauses taken are recorded per trial in the manifest.
-const (
-	maxRetries   = 2
-	retryScale   = 4
-	retryBackoff = 25 * time.Millisecond
-)
-
 // Trial statuses recorded in the run manifest.
 const (
 	StatusOK       = "ok"
@@ -86,8 +71,9 @@ const (
 
 // TrialResult is the outcome of one trial. Only the fields with JSON
 // tags enter the results artifact — execution metadata (status, timing,
-// attempts) lives in the manifest, so result artifacts are byte-identical
-// across runs regardless of worker count or cache temperature.
+// failure kind) lives in the manifest, so result artifacts are
+// byte-identical across runs regardless of worker count or cache
+// temperature.
 type TrialResult struct {
 	Index  int                `json:"index"`
 	Key    string             `json:"key"`
@@ -100,11 +86,9 @@ type TrialResult struct {
 	// artifacts byte-identical to pre-certification runs.
 	Degraded bool `json:"degraded,omitempty"`
 
-	Status   string        `json:"-"`
-	Attempts int           `json:"-"`
-	Elapsed  time.Duration `json:"-"`
-	Backoff  time.Duration `json:"-"` // total retry backoff slept, manifest-only
-	Kind     string        `json:"-"` // failure-taxonomy label, manifest-only
+	Status  string        `json:"-"`
+	Elapsed time.Duration `json:"-"`
+	Kind    string        `json:"-"` // failure-taxonomy label, manifest-only
 	// Counters are the trial's solver-pipeline statistics (zero for
 	// cached trials and non-analytic methods); manifest-only, summed
 	// into Manifest.Pipeline.
@@ -113,16 +97,11 @@ type TrialResult struct {
 
 // TrialStatus is the manifest's per-trial execution record.
 type TrialStatus struct {
-	Index    int    `json:"index"`
-	Key      string `json:"key"`
-	Status   string `json:"status"`
-	Attempts int    `json:"attempts,omitempty"`
-	Millis   int64  `json:"millis"`
-	// BackoffMillis is the total exponential-backoff delay slept between
-	// this trial's retry attempts (0 for first-try successes; omitted so
-	// healthy manifests are unchanged).
-	BackoffMillis int64  `json:"backoffMillis,omitempty"`
-	Err           string `json:"err,omitempty"`
+	Index  int    `json:"index"`
+	Key    string `json:"key"`
+	Status string `json:"status"`
+	Millis int64  `json:"millis"`
+	Err    string `json:"err,omitempty"`
 	// Kind is the failure-taxonomy label of the trial's error ("config",
 	// "numeric", "not-converged", ...), empty for healthy trials.
 	Kind string `json:"kind,omitempty"`
@@ -155,7 +134,6 @@ type Manifest struct {
 	Errors          int     `json:"errors"`
 	Degraded        int     `json:"degraded,omitempty"`
 	Panics          int     `json:"panics"`
-	Retries         int     `json:"retries"`
 	Canceled        int     `json:"canceled"`
 	WallMillis      int64   `json:"wallMillis"`
 	TrialsPerSec    float64 `json:"trialsPerSec"`
@@ -262,12 +240,12 @@ feed:
 	return run, ctx.Err()
 }
 
-// runOne executes a single trial with cache lookup, panic isolation and
-// retry-with-escalated-iteration-budget on fixed-point non-convergence.
-// Retries pause under exponential backoff with deterministic per-trial
-// jitter; ctx cuts both the backoff sleep and (via ExecPolicy.Ctx) the
-// solver's iteration loops. An all-unstable or degraded outcome is
-// final, never retried. ses is the worker's session.
+// runOne executes a single trial: cache lookup, then one attempt behind
+// the worker's panic barrier — the same single attempt a served request
+// gets. A fixed point that runs out of budget is a typed not-converged
+// error, never a result: its values are not a fixed point, so they are
+// neither recorded nor cached. An all-unstable or degraded outcome is
+// final. ses is the worker's session.
 func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Session) (r TrialResult) {
 	start := time.Now()
 	r = TrialResult{Index: index, Key: t.Key(), Method: t.Method, Point: t.Point}
@@ -280,85 +258,47 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 		}
 	}
 
-	// Escalate the fixed-point budget before going again: some grid
-	// points near the stability boundary converge slowly. The backoff
-	// pause precedes the re-fire; a run canceled mid-pause records the
-	// trial as canceled rather than burning another attempt.
-	escalate := func(attempt int) bool {
-		if t.Solve.MaxIterations == 0 {
-			t.Solve.MaxIterations = 200 // core's default
-		}
-		t.Solve.MaxIterations *= retryScale
-		d := retryDelay(retryBackoff, r.Key, attempt)
-		r.Backoff += d
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-			return true
-		case <-ctx.Done():
-			return false
-		}
+	out, err := attemptTrial(t, ExecPolicy{
+		Strict:        opts.Strict,
+		AllowDegraded: opts.AllowDegraded,
+		SolveParallel: opts.SolveParallel,
+		Newton:        opts.Newton,
+		Ctx:           ctx,
+	}, ses)
+	if out.Result != nil {
+		r.Counters = out.Result.Counters
 	}
-	for attempt := 1; ; attempt++ {
-		r.Attempts = attempt
-		pol := ExecPolicy{
-			Strict:        opts.Strict,
-			AllowDegraded: opts.AllowDegraded,
-			FinalAttempt:  attempt > maxRetries,
-			SolveParallel: opts.SolveParallel,
-			Newton:        opts.Newton,
-			Ctx:           ctx,
-		}
-		out, err := attemptTrial(t, pol, ses)
-		retryable := t.Method == MethodAnalytic && attempt <= maxRetries
-		switch {
-		case err == errPanic:
-			r.Status = StatusPanic
-			r.Err = fmt.Sprintf("panic in trial %d (%s)", index, t.Method)
-			r.Kind = "panic"
-			return r
-		case err != nil && retryable && errors.Is(err, certify.ErrNotConverged):
-			// A typed non-convergence is the one retryable failure kind.
-			if !escalate(attempt) {
-				r.Status = StatusCanceled
-				r.Err = ctx.Err().Error()
-				return r
-			}
-			continue
-		case err != nil:
-			r.Status = StatusError
-			r.Err = err.Error()
-			r.Kind = certify.KindLabel(err)
-			return r
-		case !out.Converged && !out.Degraded && retryable:
-			if !escalate(attempt) {
-				r.Status = StatusCanceled
-				r.Err = ctx.Err().Error()
-				return r
-			}
-			continue
-		}
-		r.Values = out.Values
-		if out.Result != nil {
-			r.Counters = out.Result.Counters
-		}
-		if out.Degraded {
-			// Degraded values are second-class: flagged in the result and
-			// manifest, and never cached — a future run with a healthier
-			// numeric path gets to replace them with a certified solve.
-			r.Status = StatusDegraded
-			r.Degraded = true
-			return r
-		}
-		r.Status = StatusOK
-		if opts.Cache != nil && !opts.Newton {
-			if cerr := opts.Cache.Put(r.Key, out.Values); cerr != nil {
-				r.Err = cerr.Error() // persisted result lost, values intact
-			}
-		}
+	if err == nil && !out.Converged {
+		err = out.Result.ConvergenceErr()
+	}
+	switch {
+	case err == errPanic:
+		r.Status = StatusPanic
+		r.Err = fmt.Sprintf("panic in trial %d (%s)", index, t.Method)
+		r.Kind = "panic"
+		return r
+	case err != nil:
+		r.Status = StatusError
+		r.Err = err.Error()
+		r.Kind = certify.KindLabel(err)
 		return r
 	}
+	r.Values = out.Values
+	if out.Degraded {
+		// Degraded values are second-class: flagged in the result and
+		// manifest, and never cached — a future run with a healthier
+		// numeric path gets to replace them with a certified solve.
+		r.Status = StatusDegraded
+		r.Degraded = true
+		return r
+	}
+	r.Status = StatusOK
+	if opts.Cache != nil && !opts.Newton {
+		if cerr := opts.Cache.Put(r.Key, out.Values); cerr != nil {
+			r.Err = cerr.Error() // persisted result lost, values intact
+		}
+	}
+	return r
 }
 
 var errPanic = fmt.Errorf("sweep: trial panicked")
@@ -371,20 +311,6 @@ func newSession() *core.Session {
 		panic("sweep: " + err.Error())
 	}
 	return ses
-}
-
-// retryDelay is the pause before retry number n (n = 1 after the first
-// failed attempt): base·2^(n-1), scaled by a deterministic jitter factor
-// in [0.5, 1) hashed from the trial key. Jitter staggers a grid of
-// boundary trials that would otherwise all refire together; hashing it
-// from the key keeps identical runs identically timed, so manifests stay
-// reproducible.
-func retryDelay(base time.Duration, key string, n int) time.Duration {
-	d := base << uint(n-1)
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	factor := 0.5 + float64(h.Sum64()%1000)/2000
-	return time.Duration(float64(d) * factor)
 }
 
 // attemptTrial runs one Exec attempt behind the worker's panic barrier.
@@ -436,14 +362,9 @@ func buildManifest(opts Options, results []TrialResult, wall time.Duration) Mani
 		case StatusCanceled:
 			m.Canceled++
 		}
-		if r.Attempts > 1 {
-			m.Retries += r.Attempts - 1
-		}
 		m.PerTrial = append(m.PerTrial, TrialStatus{
 			Index: r.Index, Key: r.Key, Status: r.Status,
-			Attempts: r.Attempts, Millis: r.Elapsed.Milliseconds(),
-			BackoffMillis: r.Backoff.Milliseconds(), Err: r.Err,
-			Kind: r.Kind,
+			Millis: r.Elapsed.Milliseconds(), Err: r.Err, Kind: r.Kind,
 		})
 	}
 	if m.Trials > 0 {

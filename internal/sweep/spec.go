@@ -1,8 +1,8 @@
 // Package sweep is the parallel experiment harness: it expands a
 // declarative sweep specification (a base scenario plus parameter axes)
 // into a grid of trials, executes the grid on a worker pool with
-// per-trial panic isolation and retry-on-non-convergence, caches results
-// under content-addressed keys (in memory and on disk), and emits
+// per-trial panic isolation and one attempt per trial, caches converged
+// results under content-addressed keys (in memory and on disk), and emits
 // machine-readable run artifacts (manifest, JSONL, CSV).
 //
 // Every figure of the paper's evaluation (§5) is a parameter sweep —
@@ -191,13 +191,11 @@ func (a Axis) apply(s *Scenario, v float64) error {
 // SolveParams is the JSON-friendly subset of core.SolveOptions carried
 // by a trial (the QBD R-matrix options keep their defaults).
 type SolveParams struct {
-	FixedPointTol       float64 `json:"fixedPointTol,omitempty"`
-	MaxIterations       int     `json:"maxIterations,omitempty"`
-	Damping             float64 `json:"damping,omitempty"`
-	DisableAcceleration bool    `json:"disableAcceleration,omitempty"`
-	MaxFitOrder         int     `json:"maxFitOrder,omitempty"`
-	TailEps             float64 `json:"tailEps,omitempty"`
-	TruncationCap       int     `json:"truncationCap,omitempty"`
+	FixedPointTol float64 `json:"fixedPointTol,omitempty"`
+	MaxIterations int     `json:"maxIterations,omitempty"`
+	MaxFitOrder   int     `json:"maxFitOrder,omitempty"`
+	TailEps       float64 `json:"tailEps,omitempty"`
+	TruncationCap int     `json:"truncationCap,omitempty"`
 	// ExactTruncation caps the joint state space of MethodExact2.
 	ExactTruncation int `json:"exactTruncation,omitempty"`
 }
@@ -206,13 +204,11 @@ type SolveParams struct {
 // subset.
 func SolveParamsFrom(o core.SolveOptions) SolveParams {
 	return SolveParams{
-		FixedPointTol:       o.FixedPointTol,
-		MaxIterations:       o.MaxIterations,
-		Damping:             o.Damping,
-		DisableAcceleration: o.DisableAcceleration,
-		MaxFitOrder:         o.MaxFitOrder,
-		TailEps:             o.TailEps,
-		TruncationCap:       o.TruncationCap,
+		FixedPointTol: o.FixedPointTol,
+		MaxIterations: o.MaxIterations,
+		MaxFitOrder:   o.MaxFitOrder,
+		TailEps:       o.TailEps,
+		TruncationCap: o.TruncationCap,
 	}
 }
 
@@ -224,13 +220,11 @@ func (p SolveParams) CoreOptions() core.SolveOptions { return p.coreOptions() }
 
 func (p SolveParams) coreOptions() core.SolveOptions {
 	return core.SolveOptions{
-		FixedPointTol:       p.FixedPointTol,
-		MaxIterations:       p.MaxIterations,
-		Damping:             p.Damping,
-		DisableAcceleration: p.DisableAcceleration,
-		MaxFitOrder:         p.MaxFitOrder,
-		TailEps:             p.TailEps,
-		TruncationCap:       p.TruncationCap,
+		FixedPointTol: p.FixedPointTol,
+		MaxIterations: p.MaxIterations,
+		MaxFitOrder:   p.MaxFitOrder,
+		TailEps:       p.TailEps,
+		TruncationCap: p.TruncationCap,
 	}
 }
 

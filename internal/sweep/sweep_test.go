@@ -303,7 +303,7 @@ func TestCacheSurvivesCorruptTail(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "cache.jsonl")
+	path := filepath.Join(dir, CacheFile)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -353,38 +353,51 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestRetryEscalatesIterationBudget(t *testing.T) {
+// TestNonConvergedTrialIsErrorNotCached: an analytic trial whose fixed
+// point runs out of budget without a typed failure gets one attempt and
+// fails as a not-converged error. Its values are not a fixed point, so
+// they reach neither the results nor the cache.
+func TestNonConvergedTrialIsErrorNotCached(t *testing.T) {
 	orig := execute
 	defer func() { execute = orig }()
-	var budgets []int
+	calls := 0
 	execute = func(tr Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) {
-		budgets = append(budgets, tr.Solve.MaxIterations)
-		// Converge only once the budget has been escalated twice.
-		return Outcome{Values: map[string]float64{"v": 1}, Converged: tr.Solve.MaxIterations >= 3200}, nil
+		calls++
+		return Outcome{Values: map[string]float64{"N0": 1}, Converged: false,
+			Result: &core.Result{Iterations: 200, FixedPointResidual: 3e-4}}, nil
 	}
-	trials := []Trial{{Scenario: testSpec().Base, Method: MethodAnalytic}}
-	run, err := RunTrials(context.Background(), trials, Options{Workers: 1})
+	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 800, 3200} // default 200 escalated ×4, ×4
-	if len(budgets) != len(want) {
-		t.Fatalf("attempts %v, want budgets %v", budgets, want)
+	defer cache.Close()
+	trials := []Trial{{Scenario: testSpec().Base, Method: MethodAnalytic}}
+	run, err := RunTrials(context.Background(), trials, Options{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if budgets[i] != want[i] {
-			t.Fatalf("attempt %d budget %d, want %d", i, budgets[i], want[i])
-		}
+	r := run.Results[0]
+	if calls != 1 {
+		t.Fatalf("%d attempts, want 1", calls)
 	}
-	if run.Results[0].Attempts != 3 || run.Manifest.Retries != 2 {
-		t.Fatalf("retry bookkeeping: attempts %d retries %d", run.Results[0].Attempts, run.Manifest.Retries)
+	if r.Status != StatusError || r.Kind != "not-converged" || r.Values != nil {
+		t.Fatalf("non-converged trial → status %q kind %q values %v, want a not-converged error without values",
+			r.Status, r.Kind, r.Values)
+	}
+	if !strings.Contains(r.Err, "after 200 iterations") || !strings.Contains(r.Err, "residual 0.0003") {
+		t.Fatalf("error %q does not report the rounds and residual", r.Err)
+	}
+	if run.Manifest.Errors != 1 {
+		t.Fatalf("manifest errors = %d, want 1", run.Manifest.Errors)
+	}
+	if _, ok := cache.Get(r.Key); ok || cache.Len() != 0 {
+		t.Fatal("non-converged values were cached")
 	}
 }
 
 // TestAllUnstableIsFinal: a trial whose every class is past its
-// stability boundary has its final answer — every class Unstable — on
-// the first attempt: no retry, no backoff, and the values the single
-// fixed-point round gives.
+// stability boundary has its final answer — every class Unstable — and
+// is recorded ok with the values the single fixed-point round gives.
 func TestAllUnstableIsFinal(t *testing.T) {
 	sc := testSpec().Base
 	for i := range sc.Classes {
@@ -396,13 +409,12 @@ func TestAllUnstableIsFinal(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := run.Results[0]
-	if r.Status != StatusOK || r.Attempts != 1 || r.Backoff != 0 || run.Manifest.Retries != 0 {
-		t.Fatalf("status %q after %d attempts, backoff %v, manifest retries %d; want ok after 1, none",
-			r.Status, r.Attempts, r.Backoff, run.Manifest.Retries)
+	if r.Status != StatusOK || run.Manifest.Errors != 0 {
+		t.Fatalf("status %q, manifest errors %d; want ok, none", r.Status, run.Manifest.Errors)
 	}
 	want := map[string]float64{
 		"N0": Unstable, "T0": Unstable, "N1": Unstable, "T1": Unstable,
-		"totalN": 0, "iterations": 1, "meanCycle": 0,
+		"totalN": 0, "iterations": 1, "fixedPointResidual": 0, "meanCycle": 0,
 	}
 	if !reflect.DeepEqual(r.Values, want) {
 		t.Fatalf("values %v, want %v", r.Values, want)

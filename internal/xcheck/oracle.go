@@ -82,6 +82,10 @@ func CheckCase(c Case, params Params) CaseReport {
 	if ana == nil {
 		return fail("analytic", fmt.Errorf("nil result"))
 	}
+	if anaErr == nil && !ana.Converged {
+		// Out of budget is not a fixed point: there is nothing to check.
+		return fail("analytic", ana.ConvergenceErr())
+	}
 	for p := range ana.Classes {
 		if cerr := ana.Classes[p].Err; cerr != nil {
 			return fail(fmt.Sprintf("analytic class %d", p), cerr)

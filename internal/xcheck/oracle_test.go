@@ -2,6 +2,7 @@ package xcheck
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -153,5 +154,42 @@ func TestRunPoolDeterministic(t *testing.T) {
 	}
 	if rep1.Agree != len(cases) {
 		t.Fatalf("agree=%d of %d; cases: %+v", rep1.Agree, len(cases), rep1.Cases)
+	}
+}
+
+// TestCorpusCase105IsTrueFixedPoint pins corpus case 105 (L = 2, class 1
+// unstable under the heavy-traffic start) to the fixed point the plain
+// iteration reaches: total N 4.991. An Aitken-accelerated iteration once
+// stopped it after 4 rounds at 8.978, because a class whose round-2
+// input repeated round 1 fed its round-1 quantum back and the next round
+// repeated every N.
+func TestCorpusCase105IsTrueFixedPoint(t *testing.T) {
+	c := Generate(1996, 106)[105]
+	m, err := c.Scenario.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Solve(m, core.SolveOptions{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || !(res.FixedPointResidual < 1e-6) {
+		t.Fatalf("converged %v after %d rounds, residual %g", res.Converged, res.Iterations, res.FixedPointResidual)
+	}
+	if math.Abs(res.TotalN-4.991) > 1e-3 {
+		t.Fatalf("total N %v after %d rounds, want 4.991", res.TotalN, res.Iterations)
+	}
+}
+
+// TestCheckCaseRejectsUnconverged: a fixed point that ran out of budget
+// is an analytic engine error, not an answer to hold against the
+// simulator.
+func TestCheckCaseRejectsUnconverged(t *testing.T) {
+	c := Generate(1996, 106)[105]
+	p := cheapParams()
+	p.Solve.MaxIterations = 2
+	cr := CheckCase(c, p)
+	if cr.Status != CaseError || cr.ErrKind != "not-converged" {
+		t.Fatalf("two-round case: status %q kind %q (%s), want a not-converged error", cr.Status, cr.ErrKind, cr.Err)
 	}
 }
