@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race race-full ci chaos chaos-short fuzz-short xcheck xcheck-short bench bench-sweep bench-kernel bench-serve bench-scale bench-huge bench-compare ab
+.PHONY: build fmt vet test race race-full ci chaos chaos-short fuzz-short xcheck xcheck-short bench bench-sweep bench-kernel bench-serve bench-scale bench-huge bench-compare ab loc
 
 build:
 	$(GO) build ./...
@@ -33,9 +33,9 @@ race-full:
 # allocating counterparts and both branches of the AVX2-or-Go kernel
 # dispatch bitwise to the Go loops, and internal/sweep, the
 # concurrency-heavy subsystem. The explicit
-# race-mode pass over sweep and certify re-runs the fault-injection and
-# degradation paths, whose hooks and worker pool are the likeliest place
-# for a data race to hide. internal/serve joins the explicit list: the
+# race-mode pass over sweep and certify re-runs the fault-injection
+# paths, whose hooks and worker pool are the likeliest place for a data
+# race to hide. internal/serve joins the explicit list: the
 # daemon's handlers, flight group, shard pool and shutdown path are all
 # concurrent by construction. The GOMAXPROCS=4 passes re-run the
 # per-class parallel-solve property tests, the striped-cache stress and
@@ -77,8 +77,8 @@ chaos-short:
 # no returned R may hold a NaN), 30 seconds of random request bodies
 # must never crash the daemon's decoder or produce an untyped rejection
 # (every decode error must map to a 400), 30 seconds of arbitrary
-# cache.jsonl bytes must never break recovery-on-open (no panic, no open
-# error, and the repaired file must reopen pristine), and 30 seconds of
+# sweep.CacheFile bytes must never break recovery-on-open (no panic, no
+# open error, and the repaired file must reopen pristine), and 30 seconds of
 # random band matrices (order, bandwidths, entries) must leave
 # matrix.BandLU bitwise equal to the dense LU, with the same singular
 # verdict, and 30 seconds of random matrices of order ≤ 8 (exact zero
@@ -221,3 +221,11 @@ bench-compare:
 PAIRS ?= 10
 ab:
 	sh scripts/ab.sh '$(REF)' '$(PKG)' '$(BENCH)' '$(PAIRS)'
+
+# loc prints the Go lines added, removed and net against REF, separately
+# for non-test and _test.go files — the net line count each change
+# reports. Untracked files are not counted; `git add -N` them first.
+# Offline; git only.
+#   make loc REF=97507cd
+loc:
+	sh scripts/loc.sh '$(REF)'

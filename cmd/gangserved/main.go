@@ -10,7 +10,7 @@
 //	gangserved -addr :9090 -shards 4
 //	gangserved -cache-dir .sweepcache           # share answers with gangsweep
 //	gangserved -rate 200 -burst 50              # shed load past 200 req/s
-//	gangserved -timeout 10s -allow-degraded
+//	gangserved -timeout 10s
 //	gangserved -breaker-threshold 3 -breaker-cooldown 30s
 //	gangserved -cache-dir .sweepcache -cache-fsync
 //
@@ -26,6 +26,12 @@
 //	curl -s localhost:8080/v1/solve -d '{
 //	  "scenario": {"processors": 8, "classes": [
 //	    {"partition": 2, "lambda": 0.4, "mu": 1, "quantumMean": 1, "overheadMean": 0.01}]}}'
+//
+// Failures answer with the status of their typed kind: a malformed
+// request 400, a fixed point out of budget 422 (its partial answer in
+// the body, never cached). The classes are coupled, so a class that
+// cannot be solved fails the whole request with its kind's status, 500
+// for a numeric breakdown.
 //
 // The first SIGINT/SIGTERM drains gracefully (in-flight solves finish,
 // bounded by -drain-timeout); a second signal force-exits.
@@ -54,7 +60,6 @@ func main() {
 		burst       = flag.Int("burst", 0, "admission burst capacity (default max(1, rate))")
 		maxBody     = flag.Int64("max-body", 1<<20, "request body limit in bytes")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request solve deadline (requests may set their own; negative = none)")
-		degraded    = flag.Bool("allow-degraded", false, "let opting-in requests degrade failed classes to simulation (200 with degraded:true)")
 		cacheDir    = flag.String("cache-dir", "", "shared content-addressed answer store (gangsweep cache format)")
 		memoCap     = flag.Int("memo-cap", 4096, "in-process full-response memo capacity")
 		sweepWork   = flag.Int("sweep-workers", 0, "max workers per /v1/sweep (0 = GOMAXPROCS)")
@@ -77,7 +82,6 @@ func main() {
 		Burst:          b,
 		MaxBody:        *maxBody,
 		DefaultTimeout: *timeout,
-		AllowDegraded:  *degraded,
 		CacheDir:       *cacheDir,
 		MemoCap:        *memoCap,
 		SweepWorkers:   *sweepWork,

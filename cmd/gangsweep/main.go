@@ -11,8 +11,6 @@
 //	gangsweep -spec spec.json -cache-dir .sweepcache   # rerun: 100% cache hits
 //	gangsweep -spec spec.json -resume=false -cache-dir .sweepcache  # ignore warm cache
 //	gangsweep -spec spec.json -timeout 2m     # deadline; partial results kept
-//	gangsweep -spec spec.json -allow-degraded # fall back to simulation per failed class
-//	gangsweep -spec spec.json -strict         # any certification failure is fatal
 //
 // With -cache-dir, trial results persist in <dir>/cache.v2.jsonl keyed
 // by a content hash of each trial's resolved parameters, so repeated and
@@ -20,7 +18,8 @@
 // the answers' version: a cache.jsonl left by an older build, whose
 // fixed point could stop short of a fixed point, is not read. Only
 // converged answers are cached; a trial whose fixed point exhausts its
-// budget fails with kind not-converged. -out writes
+// budget fails with kind not-converged, and one with a class that cannot
+// be solved fails with that class's typed kind. -out writes
 // manifest.json (spec hash, per-trial status, cache hit rate, wall
 // time), results.jsonl and results.csv; the result artifacts are
 // byte-identical across runs regardless of -parallel or cache state.
@@ -67,16 +66,10 @@ func main() {
 		csvOut   = flag.Bool("csv", false, "print the results CSV to stdout")
 		quiet    = flag.Bool("quiet", false, "suppress per-trial progress")
 		example  = flag.Bool("example", false, "print an example spec and exit")
-		strict   = flag.Bool("strict", false, "treat every certification failure as a hard trial error (no degradation)")
-		degraded = flag.Bool("allow-degraded", false, "fall back to simulation for classes whose analytic solve failed certification (results flagged degraded, never cached)")
 		solvePar = flag.Int("solve-parallel", 1, "per-class parallelism inside each analytic solve (<=1 = serial; the trial pool is the primary axis); results are bit-identical either way")
 		newton   = flag.Bool("newton", false, "enable the Newton cyclic-reduction rung in the R-matrix ladder (pays off on large repeating blocks; certified, but results may differ from the classical reduction within tolerance, so they are never cached)")
 	)
 	flag.Parse()
-	if *strict && *degraded {
-		fmt.Fprintln(os.Stderr, "gangsweep: -strict and -allow-degraded are mutually exclusive")
-		os.Exit(2)
-	}
 
 	if *example {
 		fmt.Print(exampleSpec)
@@ -89,8 +82,7 @@ func main() {
 	spec, err := sweep.LoadSpec(*specPath)
 	fail(err)
 
-	opts := sweep.Options{Workers: *parallel, Strict: *strict, AllowDegraded: *degraded,
-		SolveParallel: *solvePar, Newton: *newton}
+	opts := sweep.Options{Workers: *parallel, SolveParallel: *solvePar, Newton: *newton}
 	if *parallel > 1 && runtime.GOMAXPROCS(0) == 1 {
 		fmt.Fprintf(os.Stderr, "gangsweep: warning: -parallel %d on GOMAXPROCS=1 — the pool serializes on one CPU and is pure overhead; expect slower than -parallel 1 (noted in the manifest)\n", *parallel)
 	}

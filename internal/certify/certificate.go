@@ -59,10 +59,6 @@ type Certificate struct {
 	// "newton" (only where RMatrixOptions.Newton enables it) and
 	// "logreduction", so a path has one or two entries.
 	Path []string `json:"path,omitempty"`
-	// Degraded marks a result that was *not* produced analytically — the
-	// class fell back to discrete-event simulation after every analytic
-	// rung failed certification.
-	Degraded bool `json:"degraded,omitempty"`
 	// Tol are the thresholds this certificate was judged against.
 	Tol Tolerances `json:"tol"`
 }

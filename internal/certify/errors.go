@@ -5,9 +5,8 @@
 // finiteness), and the outcome travels with the result as a Certificate.
 // Failures are reported through a typed taxonomy so callers — the
 // fixed-point driver, the sweep harness, the CLIs — can distinguish
-// configuration mistakes from numeric breakdowns and react (fall back to
-// simulation, or fail with the right status) instead of parsing error
-// strings.
+// configuration mistakes from numeric breakdowns and fail with the right
+// status instead of parsing error strings.
 package certify
 
 import (
@@ -32,7 +31,7 @@ var (
 	// no stationary distribution exists.
 	ErrUnstableClass = errors.New("certify: class is not positive recurrent")
 	// ErrConfig: the model or spec itself is invalid — no amount of
-	// retrying or degrading can help.
+	// retrying can help.
 	ErrConfig = errors.New("certify: invalid configuration")
 	// ErrDeadline: the solve was interrupted mid-iteration by its
 	// deadline or the caller's cancellation. The partial iterate is

@@ -20,9 +20,6 @@ func TestSolveAttachesClassCertificates(t *testing.T) {
 		if !cr.Stable {
 			continue
 		}
-		if cr.Err != nil {
-			t.Fatalf("class %d carries error: %v", p, cr.Err)
-		}
 		if cr.Cert == nil {
 			t.Fatalf("class %d missing certificate", p)
 		}
@@ -32,64 +29,59 @@ func TestSolveAttachesClassCertificates(t *testing.T) {
 	}
 }
 
-// TestSolveDegradesPerClass: an injected failure in one class must not
-// abort the solve — the failed class carries a typed error, the others
-// stay healthy.
-func TestSolveDegradesPerClass(t *testing.T) {
+// TestClassFailureFailsSolve: Theorem 4.3 couples the classes, so one
+// class that cannot be solved fails the whole solve. The error is the
+// class's typed failure — its stage names the class, its kind and cause
+// survive — and never reads as instability.
+func TestClassFailureFailsSolve(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	injected := errors.New("injected class failure")
-	faultinject.Arm("core.class", func(p any) error {
-		if p.(int) == 1 {
-			return injected
-		}
-		return nil
-	})
 	m := paperModel(0.4, [4]float64{0.5, 1, 2, 4}, 1, 0.01)
-	res, err := Solve(m, SolveOptions{})
-	if err != nil {
-		t.Fatalf("whole solve died on a one-class failure: %v", err)
-	}
-	cr := res.Classes[1]
-	if cr.Err == nil {
-		t.Fatal("failed class carries no error")
-	}
-	if cr.Stable {
-		t.Fatal("failed class marked stable")
-	}
-	if !errors.Is(cr.Err, certify.ErrNumericContaminated) || !errors.Is(cr.Err, injected) {
-		t.Fatalf("class error %v lacks kind or cause", cr.Err)
-	}
-	var f *certify.Failure
-	if !errors.As(cr.Err, &f) || f.Stage != "core.class[1]" {
-		t.Fatalf("failure stage: %+v", f)
-	}
-	for _, p := range []int{0, 2, 3} {
-		if res.Classes[p].Err != nil || !res.Classes[p].Stable {
-			t.Fatalf("healthy class %d poisoned: %+v", p, res.Classes[p])
+	for _, tc := range []struct {
+		injected error
+		kind     error
+	}{
+		{errors.New("injected class failure"), certify.ErrNumericContaminated},
+		{&certify.Failure{Kind: certify.ErrSingularBoundary, Stage: "test"}, certify.ErrSingularBoundary},
+	} {
+		faultinject.Arm("core.class", func(p any) error {
+			if p.(int) == 1 {
+				return tc.injected
+			}
+			return nil
+		})
+		res, err := Solve(m, SolveOptions{})
+		if res != nil || err == nil {
+			t.Fatalf("one-class failure → result %v, error %v; want the failure alone", res, err)
+		}
+		var f *certify.Failure
+		if !errors.As(err, &f) || f.Stage != "core.class[1]" {
+			t.Fatalf("failure %v: want stage core.class[1]", err)
+		}
+		if !errors.Is(err, tc.kind) || !errors.Is(err, tc.injected) || errors.Is(err, ErrAllUnstable) {
+			t.Fatalf("failure %v lost its kind %v or cause, or reads as instability", err, tc.kind)
 		}
 	}
 }
 
 // TestSolveAllClassesFailedTyped: when every class fails with a typed
-// error the solve reports the joined typed failure, not ErrAllUnstable.
+// error the solve reports the first class's failure with its kind, not
+// ErrAllUnstable.
 func TestSolveAllClassesFailedTyped(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm("core.class", func(any) error {
 		return &certify.Failure{Kind: certify.ErrNotConverged, Stage: "test"}
 	})
 	m := paperModel(0.4, [4]float64{0.5, 1, 2, 4}, 1, 0.01)
-	res, err := Solve(m, SolveOptions{})
+	_, err := Solve(m, SolveOptions{})
 	if err == nil {
 		t.Fatal("all-failed solve returned nil error")
 	}
 	if errors.Is(err, ErrAllUnstable) {
 		t.Fatal("typed failures misreported as instability")
 	}
-	if !errors.Is(err, certify.ErrNotConverged) {
-		t.Fatalf("joined failure %v lost its kind", err)
-	}
-	if res == nil || len(res.Classes) != 4 {
-		t.Fatal("partial result not returned alongside the error")
+	var f *certify.Failure
+	if !errors.Is(err, certify.ErrNotConverged) || !errors.As(err, &f) || f.Stage != "core.class[0]" {
+		t.Fatalf("failure %v: want class 0's, kind not-converged", err)
 	}
 }
 

@@ -30,24 +30,33 @@ import (
 //     Counters are identical to the serial ones field for field.
 
 // solveClasses runs stages 2–4 for every class under the iteration's
-// quanta and returns the per-class results in class order. workers ≤ 1
-// is the historical serial path: one goroutine, the session-wide
-// workspace, counters accumulated directly into cnt.
-func (s *Session) solveClasses(m *Model, quanta []*phase.Dist, opts SolveOptions, workers int, cnt *Counters) []*ClassResult {
+// quanta and returns the per-class results in class order, or the
+// failure of the lowest-index class that could not be solved. workers
+// ≤ 1 is the historical serial path: one goroutine, the session-wide
+// workspace, counters accumulated directly into cnt; it stops at the
+// first failure. Parallel workers finish their classes, so both paths
+// report the same class's failure.
+func (s *Session) solveClasses(m *Model, quanta []*phase.Dist, opts SolveOptions, workers int, cnt *Counters) ([]*ClassResult, error) {
 	l := m.NumClasses()
 	out := make([]*ClassResult, l)
 	if workers <= 1 {
 		for p := 0; p < l; p++ {
-			out[p] = s.solveOneClass(m, p, quanta, opts, cnt)
+			cr, err := s.solveOneClass(m, p, quanta, opts, cnt)
+			if err != nil {
+				return nil, err
+			}
+			out[p] = cr
 		}
-		return out
+		return out, nil
 	}
 
 	// Bounded dispatch: workers goroutines pull class indices from an
-	// atomic cursor. Each class gets a private Counters cell and an opts
-	// copy backed by its private arena; nothing else is written
-	// concurrently (sessionClass state is per-class, distinct indices).
+	// atomic cursor. Each class gets a private Counters cell, error cell
+	// and an opts copy backed by its private arena; nothing else is
+	// written concurrently (sessionClass state is per-class, distinct
+	// indices).
 	cnts := make([]Counters, l)
+	errs := make([]error, l)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -59,7 +68,7 @@ func (s *Session) solveClasses(m *Model, quanta []*phase.Dist, opts SolveOptions
 				if p >= l {
 					return
 				}
-				out[p] = s.solveOneClass(m, p, quanta, s.classOpts(p, opts), &cnts[p])
+				out[p], errs[p] = s.solveOneClass(m, p, quanta, s.classOpts(p, opts), &cnts[p])
 			}
 		}()
 	}
@@ -69,32 +78,32 @@ func (s *Session) solveClasses(m *Model, quanta []*phase.Dist, opts SolveOptions
 	for p := range cnts {
 		cnt.Add(cnts[p])
 	}
-	return out
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// solveOneClass runs stages 2–4 for class p and folds any failure into
-// a carried ClassResult: a failed class keeps its nominal quantum
-// through the fixed point (like an unstable class) and surfaces its
-// typed failure for the caller to act on, so one sick class degrades
-// alone instead of killing the whole solve.
-func (s *Session) solveOneClass(m *Model, p int, quanta []*phase.Dist, opts SolveOptions, cnt *Counters) *ClassResult {
-	f := IntervisitFrom(m, p, quanta)
-	cr, err := s.solveClass(m, p, f, opts, cnt)
+// solveOneClass runs stages 2–4 for class p and types any failure as
+// the class's own: kind from the cause, stage core.class[p].
+func (s *Session) solveOneClass(m *Model, p int, quanta []*phase.Dist, opts SolveOptions, cnt *Counters) (*ClassResult, error) {
+	cr, err := s.solveClass(m, p, IntervisitFrom(m, p, quanta), opts, cnt)
 	if err == nil {
-		// Fault-injection point: tests fail one class here to prove the
-		// solve degrades per class instead of dying whole — including
-		// concurrently, when the classes are dispatched in parallel.
+		// Fault-injection point: tests fail one class here to prove its
+		// failure fails the solve — including concurrently, when the
+		// classes are dispatched in parallel.
 		err = faultinject.Fire("core.class", p)
 	}
 	if err != nil {
-		cr = &ClassResult{Rho: m.ClassUtilization(p), Intervisit: f,
-			Err: &certify.Failure{
-				Kind:  certify.Classify(err, certify.ErrNumericContaminated),
-				Stage: fmt.Sprintf("core.class[%d]", p),
-				Err:   err,
-			}}
+		return nil, &certify.Failure{
+			Kind:  certify.Classify(err, certify.ErrNumericContaminated),
+			Stage: fmt.Sprintf("core.class[%d]", p),
+			Err:   err,
+		}
 	}
-	return cr
+	return cr, nil
 }
 
 // classOpts returns opts rebound to class p's private workspace arena,

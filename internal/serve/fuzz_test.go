@@ -16,7 +16,7 @@ import (
 // whose scenario validates.
 func FuzzDecodeSolveRequest(f *testing.F) {
 	f.Add(`{"scenario":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`, int64(1<<20))
-	f.Add(`{"scenario":{"processors":8,"classes":[{"partition":2,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01},{"partition":4,"lambda":0.1,"mu":0.5,"quantumMean":2,"overheadMean":0.05}]},"method":"heavy","allowDegraded":true,"timeoutMillis":500}`, int64(1<<20))
+	f.Add(`{"scenario":{"processors":8,"classes":[{"partition":2,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01},{"partition":4,"lambda":0.1,"mu":0.5,"quantumMean":2,"overheadMean":0.05}]},"method":"heavy","timeoutMillis":500}`, int64(1<<20))
 	f.Add(`{"scenario":{"processors":2,"classes":[{"partition":1,"lambda":1e999,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`, int64(1<<20))
 	f.Add(`{"scenario":{"processors":2,"classes":[{"partition":1,"lambda":-0.4,"mu":0,"quantumMean":1,"overheadMean":0.01}]}}`, int64(1<<20))
 	f.Add(`{"unknown":true}`, int64(1<<20))

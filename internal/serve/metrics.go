@@ -269,7 +269,7 @@ func (m *metrics) write(w io.Writer, pipeline core.Counters, memoLen, diskLen in
 // histogram is a fixed-bucket latency histogram in Prometheus
 // cumulative-bucket form. Buckets span 500µs to 5s — a cache hit lands
 // in the first bucket, a heavyweight multi-class solve in the middle,
-// and a request that needed the sim-degradation rung near the top.
+// and a large sweep near the top.
 type histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1, last is +Inf

@@ -23,12 +23,6 @@ type SolveRequest struct {
 	// from a shard's session, so they stay on the sweep endpoint.
 	Method sweep.Method      `json:"method,omitempty"`
 	Solve  sweep.SolveParams `json:"solve,omitempty"`
-	// AllowDegraded opts this request into a 200 with "degraded":true —
-	// per-class simulation fallback values — when a class's analytic
-	// solve fails certification. The server must also be started with
-	// degradation enabled; without both opt-ins the failure is an error
-	// status.
-	AllowDegraded bool `json:"allowDegraded,omitempty"`
 	// TimeoutMillis caps this request's time in the solver, overriding
 	// the server default. The deadline maps onto context cancellation: a
 	// request whose context expires before its shard picks it up is never
@@ -96,20 +90,13 @@ type SweepRequest struct {
 	Spec sweep.Spec `json:"spec"`
 	// Workers caps the sweep worker pool (further capped by the server's
 	// configured maximum).
-	Workers int `json:"workers,omitempty"`
-	// Strict and AllowDegraded mirror the gangsweep flags; AllowDegraded
-	// additionally requires the server-side opt-in.
-	Strict        bool  `json:"strict,omitempty"`
-	AllowDegraded bool  `json:"allowDegraded,omitempty"`
+	Workers       int   `json:"workers,omitempty"`
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
 }
 
 func (r *SweepRequest) validate() error {
 	if r.TimeoutMillis < 0 {
 		return confErrf("timeoutMillis %d is negative", r.TimeoutMillis)
-	}
-	if r.Strict && r.AllowDegraded {
-		return confErrf("strict and allowDegraded are mutually exclusive")
 	}
 	if r.Workers < 0 {
 		return confErrf("workers %d is negative", r.Workers)
@@ -128,16 +115,9 @@ type ClassAnswer struct {
 	Rho    float64 `json:"rho"`
 	// SpectralRadiusR is the geometric tail decay rate sp(R).
 	SpectralRadiusR float64 `json:"spectralRadiusR,omitempty"`
-	// Degraded marks values produced by the simulation fallback instead
-	// of a certified analytic solve.
-	Degraded bool `json:"degraded,omitempty"`
 	// Certificate is the class's machine-checkable validity record; its
 	// Path records the R ladder's rungs.
 	Certificate *certify.Certificate `json:"certificate,omitempty"`
-	// Error and Kind carry a failed class's typed failure when the
-	// request opted into degradation.
-	Error string `json:"error,omitempty"`
-	Kind  string `json:"kind,omitempty"`
 }
 
 // SolveResponse is the wire format of a served solve.
@@ -156,8 +136,6 @@ type SolveResponse struct {
 	TotalN             float64       `json:"totalN"`
 	MeanCycle          float64       `json:"meanCycle"`
 	Classes            []ClassAnswer `json:"classes"`
-	// Degraded is true when any class fell back to simulation.
-	Degraded bool `json:"degraded,omitempty"`
 	// Cached marks an answer served from the answer store with zero
 	// solver calls; CacheTier says which tier ("memo" holds full
 	// responses with certificates, "disk" is the gangsweep-shared value

@@ -18,8 +18,8 @@
 //
 // Every served result carries its certify.Certificate, and the failure
 // taxonomy maps onto HTTP statuses (ErrConfig→400, ErrNotConverged→422,
-// numeric breakdowns→500); degraded sim-fallback answers are 200 with
-// "degraded":true only when both the request and the server opt in.
+// numeric breakdowns→500). A class that cannot be solved fails the
+// whole request: the classes are coupled, so there is no partial answer.
 // GET /metrics exposes the whole pipeline — request counters, latency
 // histograms, cache/coalesce/shed counters, and the live per-shard
 // solver counters — in Prometheus text format.
@@ -41,7 +41,7 @@ import (
 
 // Config sizes and gates the server. The zero value serves: all-core
 // shards, 1 MiB bodies, 30 s request deadline, no admission limit, no
-// disk cache, degradation off.
+// disk cache.
 type Config struct {
 	// Shards is the number of solver workers; requests route to them by
 	// structural signature. 0 means GOMAXPROCS.
@@ -55,9 +55,6 @@ type Config struct {
 	// DefaultTimeout is the per-request solve deadline when the request
 	// does not set timeoutMillis. Default 30 s; negative means none.
 	DefaultTimeout time.Duration
-	// AllowDegraded is the server-side opt-in for per-class simulation
-	// fallback; a request must also ask for it.
-	AllowDegraded bool
 	// CacheDir attaches the shared on-disk answer store (the gangsweep
 	// cache format). Empty means memo-only.
 	CacheDir string
@@ -268,13 +265,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMillis)
 	defer cancel()
-	allowDegraded := req.AllowDegraded && s.cfg.AllowDegraded
 	resp, err, joined := s.flights.do(ctx, key, func() (*SolveResponse, error) {
-		resp, err := s.pool.dispatch(ctx, trial, allowDegraded)
+		resp, err := s.pool.dispatch(ctx, trial)
 		if err != nil {
 			return nil, err
 		}
-		if resp.Converged && !resp.Degraded {
+		if resp.Converged {
 			// The answer is healthy: memoize it and share it with batch
 			// runs.
 			if perr := s.store.put(key, resp); perr != nil {
@@ -337,8 +333,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	opts := sweep.Options{
 		Name:          req.Spec.Name,
 		Workers:       workers,
-		Strict:        req.Strict,
-		AllowDegraded: req.AllowDegraded && s.cfg.AllowDegraded,
 		Cache:         s.store.disk,
 		SolveParallel: s.cfg.SolveParallel,
 	}

@@ -403,81 +403,52 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
-// TestDegradedOptIn injects a per-class analytic failure and checks the
-// two policies: without the opt-in the typed failure maps to its status;
-// with both opt-ins the class degrades to simulation values under a 200
-// with degraded:true.
-func TestDegradedOptIn(t *testing.T) {
-	defer faultinject.Reset()
-	arm := func() {
-		faultinject.Arm("core.class", func(payload any) error {
-			if p, ok := payload.(int); ok && p == 0 {
-				return &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "test"}
-			}
-			return nil
-		})
-	}
-	scenario := sweep.Scenario{
-		Processors: 2,
-		Classes: []sweep.ClassSpec{
-			{Partition: 1, Lambda: 0.3, Mu: 1, QuantumMean: 1, OverheadMean: 0.01},
-			{Partition: 2, Lambda: 0.2, Mu: 1, QuantumMean: 1, OverheadMean: 0.01},
-		},
-	}
-	_, hs := newTestServer(t, Config{AllowDegraded: true})
-
-	arm()
-	code, body := postJSON(t, hs.Client(), hs.URL+"/v1/solve", SolveRequest{Scenario: scenario})
+// TestClassFailureIs500: a class whose analytic solve fails fails the
+// request with its typed kind — numeric maps to 500 — and nothing is
+// memoized.
+func TestClassFailureIs500(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	faultinject.Arm("core.class", func(payload any) error {
+		if payload.(int) == 0 {
+			return &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "test"}
+		}
+		return nil
+	})
+	s, hs := newTestServer(t, Config{})
+	code, body := postJSON(t, hs.Client(), hs.URL+"/v1/solve", SolveRequest{Scenario: twoClassScenario()})
 	if code != http.StatusInternalServerError {
-		t.Fatalf("without opt-in: status %d, want 500\n%s", code, body)
+		t.Fatalf("status %d, want 500\n%s", code, body)
 	}
 	var eb errorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Kind != "numeric" {
 		t.Fatalf("error body %s", body)
 	}
-
-	arm() // re-arm: the scrape above consumed nothing but stay explicit
-	code, resp := solve(t, hs, SolveRequest{Scenario: scenario, AllowDegraded: true})
-	if code != http.StatusOK {
-		t.Fatalf("with opt-in: status %d", code)
+	if n := s.store.memoLen(); n != 0 {
+		t.Fatalf("memo holds %d answers, want none", n)
 	}
-	if !resp.Degraded || !resp.Classes[0].Degraded || resp.Classes[0].Kind != "numeric" {
-		t.Fatalf("degraded response: %+v", resp)
-	}
-	if resp.Classes[0].N <= 0 || resp.Classes[1].Degraded {
-		t.Fatalf("sim fallback should replace only the failed class: %+v", resp.Classes)
-	}
-	faultinject.Reset()
 }
 
-// TestDegradedExhaustedBudgetIs422: "converged" is the fixed point's
-// verdict, so a degraded answer whose fixed point ran out of budget
-// ships its body under 422, not 200, and is not memoized.
-func TestDegradedExhaustedBudgetIs422(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Arm("core.class", func(payload any) error {
-		if p, ok := payload.(int); ok && p == 0 {
-			return &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "test"}
-		}
-		return nil
-	})
-	req := SolveRequest{
-		Scenario: sweep.Scenario{Processors: 2, Classes: []sweep.ClassSpec{
-			{Partition: 1, Lambda: 0.3, Mu: 1, QuantumMean: 1, OverheadMean: 0.01},
-			{Partition: 2, Lambda: 0.2, Mu: 1, QuantumMean: 1, OverheadMean: 0.01},
-		}},
-		Solve:         sweep.SolveParams{MaxIterations: 1},
-		AllowDegraded: true,
-	}
-	s, hs := newTestServer(t, Config{AllowDegraded: true})
+// TestUnconvergedIs422NotMemoized: "converged" is the fixed point's
+// verdict, so an answer whose fixed point ran out of budget ships its
+// body under 422, not 200, and is not memoized.
+func TestUnconvergedIs422NotMemoized(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	req := SolveRequest{Scenario: twoClassScenario(), Solve: sweep.SolveParams{MaxIterations: 1}}
 	code, resp := solve(t, hs, req)
-	if code != http.StatusUnprocessableEntity || resp.Converged || !resp.Degraded {
-		t.Fatalf("status %d, converged %v, degraded %v; want 422, false, true",
-			code, resp.Converged, resp.Degraded)
+	if code != http.StatusUnprocessableEntity || resp.Converged {
+		t.Fatalf("status %d, converged %v; want 422, false", code, resp.Converged)
 	}
 	if n := s.store.memoLen(); n != 0 {
 		t.Fatalf("memo holds %d answers, want none", n)
 	}
+}
+
+// twoClassScenario is a small stable two-class machine.
+func twoClassScenario() sweep.Scenario {
+	return sweep.Scenario{Processors: 2, Classes: []sweep.ClassSpec{
+		{Partition: 1, Lambda: 0.3, Mu: 1, QuantumMean: 1, OverheadMean: 0.01},
+		{Partition: 2, Lambda: 0.2, Mu: 1, QuantumMean: 1, OverheadMean: 0.01},
+	}}
 }
 
 func TestRequestRejections(t *testing.T) {
@@ -498,6 +469,9 @@ func TestRequestRejections(t *testing.T) {
 		// request naming either is an unknown field, not a silent no-op.
 		{"removed damping", `{"solve":{"damping":0.5},"scenario":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`},
 		{"removed acceleration", `{"solve":{"disableAcceleration":true},"scenario":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`},
+		// Per-class simulation fallback is gone too: a class that cannot be
+		// solved fails the request, and the opt-in is an unknown field.
+		{"removed allowDegraded", `{"allowDegraded":true,"scenario":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`},
 		{"oversized", `{"scenario":{"processors":2,"classes":[` + strings.Repeat(`{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01},`, 20) + `]}}`},
 	}
 	for _, tc := range cases {
@@ -625,6 +599,27 @@ func TestSweepGridLimit(t *testing.T) {
 	code, body := postJSON(t, hs.Client(), hs.URL+"/v1/sweep", req)
 	if code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400\n%s", code, body)
+	}
+}
+
+// TestSweepRejectsRemovedFields: strict and allowDegraded selected the
+// deleted simulation fallback; a sweep request naming either is an
+// unknown field, not a silent no-op.
+func TestSweepRejectsRemovedFields(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	spec := `"spec":{"name":"s","base":{"processors":2,"classes":[{"partition":1,"lambda":0.4,"mu":1,"quantumMean":1,"overheadMean":0.01}]}}`
+	for _, field := range []string{`"strict":true`, `"allowDegraded":true`} {
+		resp, err := hs.Client().Post(hs.URL+"/v1/sweep", "application/json",
+			strings.NewReader("{"+field+","+spec+"}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var eb errorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &eb) != nil || eb.Kind != "config" {
+			t.Fatalf("%s: status %d, want a typed 400\n%s", field, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -24,10 +24,9 @@ var testHookBeforeSolve func(t sweep.Trial)
 // always deliver its answer and move on, even when the waiter gave up at
 // its deadline.
 type task struct {
-	trial         sweep.Trial
-	allowDegraded bool
-	ctx           context.Context
-	out           chan taskResult
+	trial sweep.Trial
+	ctx   context.Context
+	out   chan taskResult
 }
 
 type taskResult struct {
@@ -185,7 +184,6 @@ func solveShielded(p *pool, sh *shard, tk *task) (resp *SolveResponse, err error
 		return nil, ferr
 	}
 	out, err := sweep.Exec(tk.trial, sweep.ExecPolicy{
-		AllowDegraded: tk.allowDegraded,
 		SolveParallel: p.parallel,
 		Ctx:           tk.ctx,
 	}, sh.session())
@@ -198,21 +196,16 @@ func solveShielded(p *pool, sh *shard, tk *task) (resp *SolveResponse, err error
 // responseFromOutcome shapes an executed trial as a served answer: the
 // numbers of its value map, exactly as a disk-tier hit rehydrates them,
 // plus what only a live solve has — the fixed point's verdict, each
-// class's utilization, certificate and sp(R), the typed failure of a
-// class the simulation replaced, and the pipeline counters.
+// class's utilization, certificate and sp(R), and the pipeline counters.
 func responseFromOutcome(t sweep.Trial, out sweep.Outcome) *SolveResponse {
 	res := out.Result
 	resp := responseFromValues(t.Key(), t.Method, out.Values)
-	resp.Converged, resp.Degraded = out.Converged, out.Degraded
+	resp.Converged = out.Converged
 	resp.Counters = res.Counters
 	resp.values = out.Values
 	for p := range resp.Classes {
 		cr, ca := &res.Classes[p], &resp.Classes[p]
 		ca.Rho, ca.Certificate, ca.SpectralRadiusR = cr.Rho, cr.Cert, cr.SpectralRadiusR
-		if cr.Err != nil {
-			ca.Degraded = true
-			ca.Error, ca.Kind = cr.Err.Error(), certify.KindLabel(cr.Err)
-		}
 	}
 	return resp
 }
@@ -248,7 +241,7 @@ func (p *pool) shardFor(t sweep.Trial) int {
 // buffered out channel lets the shard move on immediately. A shard whose
 // breaker is open rejects up front with a typed 503 carrying the
 // cooldown remaining.
-func (p *pool) dispatch(ctx context.Context, t sweep.Trial, allowDegraded bool) (*SolveResponse, error) {
+func (p *pool) dispatch(ctx context.Context, t sweep.Trial) (*SolveResponse, error) {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -263,7 +256,7 @@ func (p *pool) dispatch(ctx context.Context, t sweep.Trial, allowDegraded bool) 
 		}
 		return nil, &breakerOpenError{retry: retry}
 	}
-	tk := &task{trial: t, allowDegraded: allowDegraded, ctx: ctx, out: make(chan taskResult, 1)}
+	tk := &task{trial: t, ctx: ctx, out: make(chan taskResult, 1)}
 	select {
 	case sh.tasks <- tk:
 		p.mu.RUnlock()

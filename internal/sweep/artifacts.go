@@ -143,8 +143,8 @@ func (r *Run) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sweep %q: %d trials on %d workers in %s (%.1f trials/s)\n",
 		m.Name, m.Trials, m.Workers, fmtMillis(m.WallMillis), m.TrialsPerSec)
-	fmt.Fprintf(&b, "  executed %d, cache hits %d (%.0f%%), errors %d, degraded %d, panics %d, canceled %d\n",
-		m.Executed, m.CacheHits, 100*m.CacheHitRate, m.Errors, m.Degraded, m.Panics, m.Canceled)
+	fmt.Fprintf(&b, "  executed %d, cache hits %d (%.0f%%), errors %d, panics %d, canceled %d\n",
+		m.Executed, m.CacheHits, 100*m.CacheHitRate, m.Errors, m.Panics, m.Canceled)
 	if p := m.Pipeline; p != nil && p.Solves > 0 {
 		fmt.Fprintf(&b, "  pipeline: %d builds, %d refills, %d QBD solves, %.1f R iterations/solve\n",
 			p.Builds, p.Refills, p.Solves, float64(p.RIterations)/float64(p.Solves))

@@ -98,20 +98,10 @@ func TestInjectedNonConvergenceIsFinal(t *testing.T) {
 	}
 }
 
-// degradeTrial is an analytic trial with a short simulation window for
-// the fallback tests.
-func degradeTrial() Trial {
-	return Trial{
-		Scenario: testSpec().Base,
-		Method:   MethodAnalytic,
-		Sim:      SimParams{Warmup: 200, Horizon: 5000},
-	}
-}
-
-// TestDegradedFallbackToSimulation: with AllowDegraded, a class whose
-// analytic solve fails non-retryably falls back to simulation; the result
-// is flagged degraded, counted in the manifest, and never cached.
-func TestDegradedFallbackToSimulation(t *testing.T) {
+// TestClassFailureIsTrialError: a class whose analytic solve fails
+// fails its trial — kind numeric, no values, nothing cached — and a
+// re-run over the same cache solves it afresh.
+func TestClassFailureIsTrialError(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm("core.class", func(p any) error {
 		if p.(int) == 0 {
@@ -119,86 +109,33 @@ func TestDegradedFallbackToSimulation(t *testing.T) {
 		}
 		return nil
 	})
-	dir := t.TempDir()
-	cache, err := OpenCache(dir)
+	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cache.Close()
-	run, err := RunTrials(context.Background(), []Trial{degradeTrial()},
-		Options{Workers: 1, AllowDegraded: true, Cache: cache})
+	trials := []Trial{{Scenario: testSpec().Base, Method: MethodAnalytic}}
+	run, err := RunTrials(context.Background(), trials, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := run.Results[0]
-	if r.Status != StatusDegraded || !r.Degraded {
-		t.Fatalf("status %q degraded=%v, want degraded", r.Status, r.Degraded)
+	if r.Status != StatusError || r.Kind != "numeric" || r.Values != nil {
+		t.Fatalf("class failure → %+v, want a numeric error without values", r)
 	}
-	if r.Values["N0"] <= 0 {
-		t.Fatalf("degraded class value N0 = %g, want simulated mean > 0", r.Values["N0"])
-	}
-	if r.Values["N1"] <= 0 {
-		t.Fatalf("healthy class value N1 = %g, want analytic mean > 0", r.Values["N1"])
-	}
-	if run.Manifest.Degraded != 1 || run.Manifest.Errors != 0 {
-		t.Fatalf("manifest: %+v", run.Manifest)
+	if pt := run.Manifest.PerTrial[0]; pt.Kind != "numeric" || run.Manifest.Errors != 1 {
+		t.Fatalf("manifest %+v, per-trial %+v", run.Manifest, pt)
 	}
 	if cache.Len() != 0 {
-		t.Fatalf("degraded result cached (%d entries)", cache.Len())
+		t.Fatalf("failed trial cached: %d records", cache.Len())
 	}
-	// The artifact row carries the degraded flag.
-	jsonl, err := run.ResultsJSONL()
+	faultinject.Reset()
+	run, err = RunTrials(context.Background(), trials, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(jsonl), `"degraded":true`) {
-		t.Fatalf("artifact missing degraded flag: %s", jsonl)
-	}
-}
-
-// TestStrictRefusesDegradation: -strict turns the same injected failure
-// into a hard typed error.
-func TestStrictRefusesDegradation(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	faultinject.Arm("core.class", func(p any) error {
-		if p.(int) == 0 {
-			return errors.New("injected numeric failure")
-		}
-		return nil
-	})
-	run, err := RunTrials(context.Background(), []Trial{degradeTrial()},
-		Options{Workers: 1, Strict: true, AllowDegraded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := run.Results[0]
-	if r.Status != StatusError {
-		t.Fatalf("strict mode produced %q, want error", r.Status)
-	}
-	if r.Kind != "numeric" {
-		t.Fatalf("kind %q, want numeric", r.Kind)
-	}
-	if run.Manifest.Errors != 1 || run.Manifest.Degraded != 0 {
-		t.Fatalf("manifest: %+v", run.Manifest)
-	}
-}
-
-// TestWithoutAllowDegradedErrors: the default (no -allow-degraded) also
-// refuses the simulation fallback.
-func TestWithoutAllowDegradedErrors(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	faultinject.Arm("core.class", func(p any) error {
-		if p.(int) == 0 {
-			return errors.New("injected numeric failure")
-		}
-		return nil
-	})
-	run, err := RunTrials(context.Background(), []Trial{degradeTrial()}, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Results[0].Status != StatusError {
-		t.Fatalf("default mode produced %q, want error", run.Results[0].Status)
+	if r := run.Results[0]; r.Status != StatusOK || r.Values["N0"] <= 0 {
+		t.Fatalf("re-run after the fault → %+v, want a fresh ok solve", r)
 	}
 }
 

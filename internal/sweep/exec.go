@@ -22,16 +22,10 @@ const (
 // boundary, so sweeps that cross the boundary still produce full grids.
 const Unstable = -1
 
-// ExecPolicy tells a trial's single attempt how to treat per-class
-// solver failures. The sweep runner and gangserved's shards both give a
-// trial exactly one attempt.
+// ExecPolicy carries a trial attempt's execution-level settings. The
+// sweep runner and gangserved's shards both give a trial exactly one
+// attempt.
 type ExecPolicy struct {
-	// Strict turns every per-class failure into a trial error — no
-	// degradation, ever.
-	Strict bool
-	// AllowDegraded permits falling back to simulation for classes whose
-	// analytic solve failed certification.
-	AllowDegraded bool
 	// SolveParallel is the intra-solve parallelism forwarded to
 	// core.SolveOptions.Parallel for analytic methods; ≤ 1 keeps the
 	// serial path. Execution-level only — it never enters Trial hashing
@@ -60,9 +54,6 @@ type Outcome struct {
 	// the load admits no stationary regime) count as converged, and so
 	// do the simulation and exact methods.
 	Converged bool
-	// Degraded is true when some class value came from the simulation
-	// fallback instead of a certified analytic solve.
-	Degraded bool
 	// Result is the analytic solve behind the values — per-class
 	// certificates and pipeline counters — nil for other methods.
 	Result *core.Result
@@ -125,38 +116,13 @@ var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) 
 		if t.Method == MethodHeavy {
 			resolve = ses.ResolveHeavyTraffic
 		}
-		res, serr := resolve(m, copts)
-		allUnstable := errors.Is(serr, core.ErrAllUnstable)
-		failed := failedClasses(res)
-		if serr != nil && !allUnstable && len(failed) == 0 {
-			// Whole-solve failure with no per-class result to salvage.
-			return Outcome{}, serr
+		res, err := resolve(m, copts)
+		allUnstable := errors.Is(err, core.ErrAllUnstable)
+		if err != nil && !allUnstable {
+			return Outcome{}, err
 		}
-		out := Outcome{Result: res,
-			Converged: res.Converged || t.Method == MethodHeavy || allUnstable}
-		if len(failed) == 0 {
-			out.Values = analyticValues(res, nil)
-			return out, nil
-		}
-		ferr := serr
-		if ferr == nil {
-			ferr = classErr(res, failed)
-		}
-		if pol.Strict || !pol.AllowDegraded {
-			return Outcome{}, ferr
-		}
-		// Degradation rung: one simulation run replaces the values of
-		// exactly the failed classes; healthy classes keep their
-		// certified analytic values. The runner records the outcome as
-		// degraded and never caches it, so a later run gets another
-		// chance at a fully analytic result.
-		sres, err := sim.RunGang(simConfig(t, m))
-		if err != nil {
-			return Outcome{}, &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "sweep.degrade",
-				Err: errors.Join(err, classErr(res, failed))}
-		}
-		out.Values, out.Degraded = analyticValues(res, sres), true
-		return out, nil
+		return Outcome{Values: analyticValues(res), Result: res,
+			Converged: res.Converged || t.Method == MethodHeavy || allUnstable}, nil
 
 	case MethodSim:
 		res, err := sim.RunGang(simConfig(t, m))
@@ -195,19 +161,14 @@ var execute = func(t Trial, pol ExecPolicy, ses *core.Session) (Outcome, error) 
 
 // analyticValues records an analytic solve as the trial's value map:
 // each class's N and T (the Unstable sentinel past its stability
-// boundary), their total over the classes with values, the fixed-point
-// iteration count and residual, and the mean cycle. A failed class (non-nil Err) takes
-// its N and T from the simulation run sres.
-func analyticValues(res *core.Result, sres *sim.Result) map[string]float64 {
+// boundary), their total over the stable classes, the fixed-point
+// iteration count and residual, and the mean cycle.
+func analyticValues(res *core.Result) map[string]float64 {
 	values := make(map[string]float64, 2*len(res.Classes)+4)
 	total := 0.0
 	for p, cr := range res.Classes {
 		n, t := float64(Unstable), float64(Unstable)
-		switch {
-		case cr.Err != nil:
-			n, t = sres.Classes[p].MeanJobs, sres.Classes[p].MeanResponse
-			total += n
-		case cr.Stable:
+		if cr.Stable {
 			n, t = cr.N, cr.T
 			total += n
 		}
@@ -219,21 +180,6 @@ func analyticValues(res *core.Result, sres *sim.Result) map[string]float64 {
 	values["fixedPointResidual"] = res.FixedPointResidual
 	values["meanCycle"] = res.MeanCycle
 	return values
-}
-
-// failedClasses returns the indices of classes whose solve carried a
-// typed failure.
-func failedClasses(res *core.Result) []int {
-	if res == nil {
-		return nil
-	}
-	var failed []int
-	for p := range res.Classes {
-		if res.Classes[p].Err != nil {
-			failed = append(failed, p)
-		}
-	}
-	return failed
 }
 
 func simConfig(t Trial, m *core.Model) sim.Config {
@@ -249,12 +195,4 @@ func simConfig(t Trial, m *core.Model) sim.Config {
 		cfg.Horizon = defaultHorizon
 	}
 	return cfg
-}
-
-func classErr(res *core.Result, failed []int) error {
-	errs := make([]error, 0, len(failed))
-	for _, p := range failed {
-		errs = append(errs, fmt.Errorf("class %d: %w", p, res.Classes[p].Err))
-	}
-	return errors.Join(errs...)
 }

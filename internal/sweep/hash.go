@@ -58,7 +58,7 @@ func StructuralKey(t Trial) string {
 		Scenario Scenario
 	}{t.Method, sc})
 	if err != nil {
-		// Scenario is plain data; Marshal cannot fail. Degrade to one
+		// Scenario is plain data; Marshal cannot fail. Fall back to one
 		// group per method rather than panicking.
 		return string(t.Method)
 	}

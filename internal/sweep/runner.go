@@ -25,14 +25,6 @@ type Options struct {
 	// Progress, when non-nil, is called after every finished trial with
 	// the completion count (calls are serialized).
 	Progress func(done, total int, r TrialResult)
-	// Strict makes every certification failure a hard trial error: no
-	// degradation to simulation, ever.
-	Strict bool
-	// AllowDegraded lets an analytic trial whose per-class solve failed
-	// fall back to the discrete-event simulator for the failed classes.
-	// Degraded results are flagged in the result and manifest and are
-	// never cached.
-	AllowDegraded bool
 	// SolveParallel sets each analytic trial's intra-solve parallelism
 	// (core.SolveOptions.Parallel): ≤ 1 — the default — keeps every
 	// solve on the historical serial path, because the trial grid is
@@ -63,7 +55,6 @@ func (o Options) withDefaults() Options {
 const (
 	StatusOK       = "ok"
 	StatusCached   = "cached"
-	StatusDegraded = "degraded"
 	StatusError    = "error"
 	StatusPanic    = "panic"
 	StatusCanceled = "canceled"
@@ -81,10 +72,6 @@ type TrialResult struct {
 	Point  map[string]float64 `json:"point,omitempty"`
 	Values map[string]float64 `json:"values,omitempty"`
 	Err    string             `json:"err,omitempty"`
-	// Degraded marks values produced (partly) by the simulation fallback
-	// instead of a certified analytic solve. omitempty keeps healthy
-	// artifacts byte-identical to pre-certification runs.
-	Degraded bool `json:"degraded,omitempty"`
 
 	Status  string        `json:"-"`
 	Elapsed time.Duration `json:"-"`
@@ -132,7 +119,6 @@ type Manifest struct {
 	CacheHits       int     `json:"cacheHits"`
 	CacheHitRate    float64 `json:"cacheHitRate"`
 	Errors          int     `json:"errors"`
-	Degraded        int     `json:"degraded,omitempty"`
 	Panics          int     `json:"panics"`
 	Canceled        int     `json:"canceled"`
 	WallMillis      int64   `json:"wallMillis"`
@@ -244,8 +230,8 @@ feed:
 // the worker's panic barrier — the same single attempt a served request
 // gets. A fixed point that runs out of budget is a typed not-converged
 // error, never a result: its values are not a fixed point, so they are
-// neither recorded nor cached. An all-unstable or degraded outcome is
-// final. ses is the worker's session.
+// neither recorded nor cached. An all-unstable outcome is final. ses is
+// the worker's session.
 func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Session) (r TrialResult) {
 	start := time.Now()
 	r = TrialResult{Index: index, Key: t.Key(), Method: t.Method, Point: t.Point}
@@ -259,8 +245,6 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 	}
 
 	out, err := attemptTrial(t, ExecPolicy{
-		Strict:        opts.Strict,
-		AllowDegraded: opts.AllowDegraded,
 		SolveParallel: opts.SolveParallel,
 		Newton:        opts.Newton,
 		Ctx:           ctx,
@@ -283,16 +267,7 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 		r.Kind = certify.KindLabel(err)
 		return r
 	}
-	r.Values = out.Values
-	if out.Degraded {
-		// Degraded values are second-class: flagged in the result and
-		// manifest, and never cached — a future run with a healthier
-		// numeric path gets to replace them with a certified solve.
-		r.Status = StatusDegraded
-		r.Degraded = true
-		return r
-	}
-	r.Status = StatusOK
+	r.Values, r.Status = out.Values, StatusOK
 	if opts.Cache != nil && !opts.Newton {
 		if cerr := opts.Cache.Put(r.Key, out.Values); cerr != nil {
 			r.Err = cerr.Error() // persisted result lost, values intact
@@ -350,9 +325,6 @@ func buildManifest(opts Options, results []TrialResult, wall time.Duration) Mani
 			m.CacheHits++
 		case StatusOK:
 			m.Executed++
-		case StatusDegraded:
-			m.Executed++
-			m.Degraded++
 		case StatusError:
 			m.Executed++
 			m.Errors++

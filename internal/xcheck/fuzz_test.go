@@ -64,7 +64,7 @@ func FuzzScenarioCorpus(f *testing.F) {
 		if res != nil {
 			for p := range res.Classes {
 				cl := &res.Classes[p]
-				if cl.Err != nil || !cl.Stable {
+				if !cl.Stable {
 					continue
 				}
 				if math.IsNaN(cl.N) || math.IsNaN(cl.T) || math.IsNaN(cl.Rho) {
