@@ -60,8 +60,9 @@ ci: build fmt vet race
 # panics, numeric failures, solver latency, NaN-contaminated R iterates,
 # and a pre-corrupted cache directory) with the race detector on, and
 # fails on any broken invariant: a daemon death, a non-finite or
-# uncertified 200, a breaker that never opens or never re-closes, or
-# error counters that do not reconcile with what the clients observed.
+# uncertified 200, a 503 during the soak, a request after the storm that
+# does not answer 200, error counters that do not reconcile with what
+# the clients observed, or a 500 count other than the injected faults.
 # chaos-short is the same harness sized for the ci gate (<60 s); chaos is
 # the long soak.
 chaos:

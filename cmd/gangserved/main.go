@@ -11,7 +11,6 @@
 //	gangserved -cache-dir .sweepcache           # share answers with gangsweep
 //	gangserved -rate 200 -burst 50              # shed load past 200 req/s
 //	gangserved -timeout 10s
-//	gangserved -breaker-threshold 3 -breaker-cooldown 30s
 //	gangserved -cache-dir .sweepcache -cache-fsync
 //
 // Endpoints:
@@ -31,10 +30,13 @@
 // request 400, a fixed point out of budget 422 (its partial answer in
 // the body, never cached). The classes are coupled, so a class that
 // cannot be solved fails the whole request with its kind's status, 500
-// for a numeric breakdown.
+// for a numeric breakdown. Every request routed to a shard is solved,
+// and a failure is the request's own: a panic inside a solve costs only
+// its request a 500, and the shard replaces its session.
 //
 // The first SIGINT/SIGTERM drains gracefully (in-flight solves finish,
-// bounded by -drain-timeout); a second signal force-exits.
+// bounded by -drain-timeout; a request arriving meanwhile gets a typed
+// 503 with Retry-After); a second signal force-exits.
 package main
 
 import (
@@ -66,8 +68,6 @@ func main() {
 		solvePar    = flag.Int("parallel", 1, "per-class parallelism inside each solve (1 = serial, shards carry the concurrency; -1 = GOMAXPROCS); answers are bit-identical either way")
 		sweepTrials = flag.Int("max-sweep-trials", 4096, "largest grid a single /v1/sweep may expand to")
 		drain       = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound after the first signal")
-		brkThresh   = flag.Int("breaker-threshold", 5, "consecutive countable shard failures before the circuit opens (negative = disabled)")
-		brkCooldown = flag.Duration("breaker-cooldown", 10*time.Second, "open-state hold before a half-open probe is admitted")
 		cacheFsync  = flag.Bool("cache-fsync", false, "fsync the disk cache after every append (crash-durable at a latency cost)")
 	)
 	flag.Parse()
@@ -87,10 +87,7 @@ func main() {
 		SweepWorkers:   *sweepWork,
 		MaxSweepTrials: *sweepTrials,
 		SolveParallel:  *solvePar,
-
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCooldown,
-		CacheFsync:       *cacheFsync,
+		CacheFsync:     *cacheFsync,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gangserved:", err)

@@ -143,6 +143,15 @@ func (c *Counters) Add(o Counters) {
 	c.RIterations += o.RIterations
 }
 
+// Sub removes an earlier snapshot's counters from c, leaving the work
+// done between the two.
+func (c *Counters) Sub(o Counters) {
+	c.Builds -= o.Builds
+	c.Refills -= o.Refills
+	c.Solves -= o.Solves
+	c.RIterations -= o.RIterations
+}
+
 // AtomicCounters is the race-safe Counters accumulator: the owning
 // goroutine Adds per-solve deltas while any number of other goroutines
 // Snapshot concurrently — the gangserved /metrics scrape reads every

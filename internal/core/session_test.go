@@ -187,6 +187,10 @@ func TestCountersAdd(t *testing.T) {
 	if c != want {
 		t.Fatalf("Add: got %+v, want %+v", c, want)
 	}
+	c.Sub(Counters{Builds: 1, Refills: 2, Solves: 3, RIterations: 4})
+	if want := (Counters{Builds: 10, Refills: 20, Solves: 30, RIterations: 40}); c != want {
+		t.Fatalf("Sub: got %+v, want %+v", c, want)
+	}
 }
 
 // TestSolveReportsCounters: the one-shot path carries per-run counters in

@@ -39,12 +39,8 @@ type metrics struct {
 	rungMu sync.Mutex
 	rungs  map[string]*atomic.Int64
 
-	panicsHandler   atomic.Int64
-	panicsShard     atomic.Int64
-	breakerRejected atomic.Int64
-	// breakerTrans counts breaker state transitions, keyed "shard|to".
-	brkMu        sync.Mutex
-	breakerTrans map[string]*atomic.Int64
+	panicsHandler atomic.Int64
+	panicsShard   atomic.Int64
 
 	solveLatency *histogram
 	sweepLatency *histogram
@@ -54,7 +50,6 @@ func newMetrics() *metrics {
 	return &metrics{
 		requests:     make(map[string]*atomic.Int64),
 		rungs:        make(map[string]*atomic.Int64),
-		breakerTrans: make(map[string]*atomic.Int64),
 		solveLatency: newHistogram(),
 		sweepLatency: newHistogram(),
 	}
@@ -67,21 +62,6 @@ func (m *metrics) panic(where string) {
 	} else {
 		m.panicsHandler.Add(1)
 	}
-}
-
-// breakerTransition records one shard-breaker state change; the counter
-// is keyed by shard and destination state so an open→half-open→closed
-// recovery is visible as distinct series.
-func (m *metrics) breakerTransition(shardID, from, to int) {
-	k := fmt.Sprintf("%d|%s", shardID, breakerStateNames[to])
-	m.brkMu.Lock()
-	c, ok := m.breakerTrans[k]
-	if !ok {
-		c = new(atomic.Int64)
-		m.breakerTrans[k] = c
-	}
-	m.brkMu.Unlock()
-	c.Add(1)
 }
 
 // solveDone records one solve executed on a shard: the trial-solve
@@ -143,11 +123,10 @@ func (m *metrics) cacheHit(tier string) {
 }
 
 // write renders the exposition: request counters, cache/coalesce/shed
-// counters, resilience counters (panics, breaker transitions and
-// states, disk-cache recovery), the live pipeline counters, store
-// gauges, and the latency histograms. Output order is deterministic.
-func (m *metrics) write(w io.Writer, pipeline core.Counters, memoLen, diskLen int,
-	breakerStates []string, rec sweep.CacheRecovery) {
+// counters, resilience counters (panics, disk-cache recovery), the live
+// pipeline counters, store gauges, and the latency histograms. Output
+// order is deterministic.
+func (m *metrics) write(w io.Writer, pipeline core.Counters, memoLen, diskLen int, rec sweep.CacheRecovery) {
 	fmt.Fprintf(w, "# HELP gangserved_requests_total Finished requests by endpoint and status code.\n")
 	fmt.Fprintf(w, "# TYPE gangserved_requests_total counter\n")
 	m.mu.Lock()
@@ -183,43 +162,10 @@ func (m *metrics) write(w io.Writer, pipeline core.Counters, memoLen, diskLen in
 	fmt.Fprintf(w, "gangserved_panics_total{where=\"handler\"} %d\n", m.panicsHandler.Load())
 	fmt.Fprintf(w, "gangserved_panics_total{where=\"shard\"} %d\n", m.panicsShard.Load())
 
-	fmt.Fprintf(w, "# HELP gangserved_breaker_rejected_total Dispatches rejected by an open shard circuit breaker.\n")
-	fmt.Fprintf(w, "# TYPE gangserved_breaker_rejected_total counter\n")
-	fmt.Fprintf(w, "gangserved_breaker_rejected_total %d\n", m.breakerRejected.Load())
-	fmt.Fprintf(w, "# HELP gangserved_breaker_transitions_total Shard circuit-breaker state transitions, by destination state.\n")
-	fmt.Fprintf(w, "# TYPE gangserved_breaker_transitions_total counter\n")
-	m.brkMu.Lock()
-	bkeys := make([]string, 0, len(m.breakerTrans))
-	for k := range m.breakerTrans {
-		bkeys = append(bkeys, k)
-	}
-	sort.Strings(bkeys)
-	bcounts := make([]int64, len(bkeys))
-	for i, k := range bkeys {
-		bcounts[i] = m.breakerTrans[k].Load()
-	}
-	m.brkMu.Unlock()
-	for i, k := range bkeys {
-		shard, to, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "gangserved_breaker_transitions_total{shard=%q,to=%q} %d\n", shard, to, bcounts[i])
-	}
-	fmt.Fprintf(w, "# HELP gangserved_breaker_state Current breaker state per shard (0 closed, 1 open, 2 half-open).\n")
-	fmt.Fprintf(w, "# TYPE gangserved_breaker_state gauge\n")
-	for i, st := range breakerStates {
-		v := 0
-		for j, name := range breakerStateNames {
-			if name == st {
-				v = j
-			}
-		}
-		fmt.Fprintf(w, "gangserved_breaker_state{shard=\"%d\"} %d\n", i, v)
-	}
-
-	fmt.Fprintf(w, "# HELP gangserved_cache_recovery Disk-cache recovery-on-open results: records quarantined to the .corrupt sidecar, torn-tail bytes truncated, legacy records without checksums.\n")
+	fmt.Fprintf(w, "# HELP gangserved_cache_recovery Disk-cache recovery-on-open results: records quarantined to the .corrupt sidecar, torn-tail bytes truncated.\n")
 	fmt.Fprintf(w, "# TYPE gangserved_cache_recovery gauge\n")
 	fmt.Fprintf(w, "gangserved_cache_recovery{event=\"quarantined\"} %d\n", rec.Quarantined)
 	fmt.Fprintf(w, "gangserved_cache_recovery{event=\"torn_bytes\"} %d\n", rec.TornBytes)
-	fmt.Fprintf(w, "gangserved_cache_recovery{event=\"legacy\"} %d\n", rec.Legacy)
 
 	fmt.Fprintf(w, "# HELP gangserved_trial_solves_total Solves executed on a shard session (cache hits and coalesced followers excluded).\n")
 	fmt.Fprintf(w, "# TYPE gangserved_trial_solves_total counter\n")

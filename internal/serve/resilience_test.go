@@ -173,6 +173,11 @@ func TestDeadlineInterruptsSolveMidIteration(t *testing.T) {
 func TestShardPanicContained(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	_, hs := newTestServer(t, Config{Shards: 1})
+	// Prime the shard with a healthy solve so its session holds built
+	// chains.
+	if code, _ := solve(t, hs, SolveRequest{Scenario: testScenario(0.30)}); code != http.StatusOK {
+		t.Fatalf("prime failed: %d", code)
+	}
 	faultinject.ArmOnce("serve.task", func(any) error {
 		panic("injected: solver blew up")
 	})
@@ -186,9 +191,19 @@ func TestShardPanicContained(t *testing.T) {
 		t.Fatalf("error body %+v", eb)
 	}
 	// The next request on the same shard solves on the recycled session.
+	// A same-structure solve on the primed session would refill every
+	// chain; the recycled session must build them.
 	code, sr := solve(t, hs, SolveRequest{Scenario: testScenario(0.32)})
 	if code != http.StatusOK || !sr.Converged {
 		t.Fatalf("shard dead after panic: %d %+v", code, sr)
+	}
+	if sr.Counters.Builds == 0 {
+		t.Fatalf("solve after the panic reused the discarded session's chains: %+v", sr.Counters)
+	}
+	// And the recycled session reuses structure from then on.
+	code, sr = solve(t, hs, SolveRequest{Scenario: testScenario(0.33)})
+	if code != http.StatusOK || sr.Counters.Builds != 0 {
+		t.Fatalf("recycled session rebuilt its chains: %d %+v", code, sr.Counters)
 	}
 	m := scrapeMetrics(t, hs)
 	if m[`gangserved_panics_total{where="shard"}`] != 1 {
@@ -230,188 +245,6 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}()
 	abort.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/abort", nil))
 	t.Fatal("unreachable")
-}
-
-// TestBreakerStateMachine drives one breaker through its whole life
-// cycle on an injected clock.
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	var trans []string
-	b := newBreaker(2, time.Minute, clock, func(from, to int) {
-		trans = append(trans, fmt.Sprintf("%s>%s", breakerStateNames[from], breakerStateNames[to]))
-	})
-
-	if ok, _, probe := b.allow(); !ok || probe {
-		t.Fatal("closed breaker rejected")
-	}
-	// One failure, a success, another failure: no trip (not consecutive).
-	b.report(true)
-	b.report(false)
-	if tripped := b.report(true); tripped {
-		t.Fatal("tripped below threshold")
-	}
-	if tripped := b.report(true); !tripped {
-		t.Fatal("threshold consecutive failures did not trip")
-	}
-	if b.stateName() != "open" {
-		t.Fatalf("state %s, want open", b.stateName())
-	}
-	ok, retry, _ := b.allow()
-	if ok || retry <= 0 || retry > time.Minute {
-		t.Fatalf("open breaker: ok=%v retry=%v", ok, retry)
-	}
-
-	// Cooldown elapses: exactly one probe is admitted.
-	now = now.Add(61 * time.Second)
-	ok, _, probe := b.allow()
-	if !ok || !probe {
-		t.Fatalf("half-open probe not admitted: ok=%v probe=%v", ok, probe)
-	}
-	if ok, _, _ := b.allow(); ok {
-		t.Fatal("second probe admitted while first in flight")
-	}
-	// An abandoned probe frees the slot.
-	b.cancelProbe()
-	if ok, _, probe := b.allow(); !ok || !probe {
-		t.Fatal("slot not freed by cancelProbe")
-	}
-	// Probe succeeds: closed again.
-	if b.report(false); b.stateName() != "closed" {
-		t.Fatalf("state %s after successful probe, want closed", b.stateName())
-	}
-
-	// Trip again; this time the probe fails and the breaker re-opens.
-	b.report(true)
-	b.report(true)
-	now = now.Add(61 * time.Second)
-	if ok, _, probe := b.allow(); !ok || !probe {
-		t.Fatal("probe not admitted after second cooldown")
-	}
-	if tripped := b.report(true); !tripped {
-		t.Fatal("failed probe did not re-open")
-	}
-	if b.stateName() != "open" {
-		t.Fatalf("state %s, want open", b.stateName())
-	}
-
-	want := []string{"closed>open", "open>half-open", "half-open>closed",
-		"closed>open", "open>half-open", "half-open>open"}
-	if fmt.Sprint(trans) != fmt.Sprint(want) {
-		t.Fatalf("transitions %v, want %v", trans, want)
-	}
-
-	// Disabled and nil breakers admit everything and never trip.
-	var nb *breaker
-	if ok, _, _ := nb.allow(); !ok || nb.report(true) || nb.stateName() != "closed" {
-		t.Fatal("nil breaker misbehaved")
-	}
-	db := newBreaker(0, time.Minute, clock, nil)
-	for i := 0; i < 10; i++ {
-		if db.report(true) {
-			t.Fatal("disabled breaker tripped")
-		}
-	}
-	if ok, _, _ := db.allow(); !ok {
-		t.Fatal("disabled breaker rejected")
-	}
-}
-
-// TestBreakerTripsAndRecovers is the end-to-end circuit: consecutive
-// solver failures trip the shard, tripped traffic is rejected up front
-// with a typed 503 + Retry-After, the session is replaced by a fresh
-// one, and after the cooldown a successful probe re-closes the breaker.
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	_, hs := newTestServer(t, Config{
-		Shards: 1, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
-	})
-	// Prime the shard with a healthy solve so it holds built chains.
-	if code, _ := solve(t, hs, SolveRequest{Scenario: testScenario(0.41)}); code != http.StatusOK {
-		t.Fatalf("prime failed: %d", code)
-	}
-
-	faultinject.Arm("serve.task", func(any) error {
-		return &certify.Failure{Kind: certify.ErrNumericContaminated, Stage: "test",
-			Err: fmt.Errorf("injected numeric failure")}
-	})
-	for i := 0; i < 2; i++ {
-		resp, body := postRaw(t, hs.Client(), hs.URL+"/v1/solve",
-			SolveRequest{Scenario: testScenario(0.42 + float64(i)/100)})
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("failure %d: status %d\n%s", i, resp.StatusCode, body)
-		}
-	}
-	// Threshold reached: the shard is open, traffic is rejected before
-	// the solver with the cooldown remaining in Retry-After.
-	resp, body := postRaw(t, hs.Client(), hs.URL+"/v1/solve",
-		SolveRequest{Scenario: testScenario(0.44)})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker status %d, want 503\n%s", resp.StatusCode, body)
-	}
-	if eb := errBody(t, body); eb.Kind != "breaker-open" {
-		t.Fatalf("error kind %q, want breaker-open", eb.Kind)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("open-breaker 503 carries no Retry-After")
-	}
-	m := scrapeMetrics(t, hs)
-	if m[`gangserved_breaker_state{shard="0"}`] != 1 {
-		t.Fatalf("breaker state %v, want 1 (open)", m[`gangserved_breaker_state{shard="0"}`])
-	}
-	if m[`gangserved_breaker_transitions_total{shard="0",to="open"}`] != 1 {
-		t.Fatal("open transition not counted")
-	}
-	if m[`gangserved_breaker_rejected_total`] < 1 {
-		t.Fatal("breaker rejection not counted")
-	}
-
-	// Heal the fault, let the cooldown pass: the next request is the
-	// half-open probe; its success re-closes the breaker, and the probe
-	// ran on a recycled session — the old session's chains are gone.
-	faultinject.Reset()
-	time.Sleep(60 * time.Millisecond)
-	code, sr := solve(t, hs, SolveRequest{Scenario: testScenario(0.45)})
-	if code != http.StatusOK || !sr.Converged {
-		t.Fatalf("probe failed: %d %+v", code, sr)
-	}
-	// A same-structure solve on the primed session would refill every
-	// chain; the recycled session must build them.
-	if sr.Counters.Builds == 0 {
-		t.Fatalf("probe reused the discarded session's chains: %+v", sr.Counters)
-	}
-	m = scrapeMetrics(t, hs)
-	if m[`gangserved_breaker_state{shard="0"}`] != 0 {
-		t.Fatalf("breaker state %v after probe, want 0 (closed)", m[`gangserved_breaker_state{shard="0"}`])
-	}
-	if m[`gangserved_breaker_transitions_total{shard="0",to="half-open"}`] != 1 ||
-		m[`gangserved_breaker_transitions_total{shard="0",to="closed"}`] != 1 {
-		t.Fatal("recovery transitions not counted")
-	}
-	// And the shard reuses structure again on the next same-structure
-	// solve: every chain refills the probe's.
-	code, sr = solve(t, hs, SolveRequest{Scenario: testScenario(0.46)})
-	if code != http.StatusOK || sr.Counters.Builds != 0 {
-		t.Fatalf("shard rebuilt chains after recovery: %d %+v", code, sr.Counters)
-	}
-}
-
-// TestDeadlineFailuresDoNotTrip: deadline interrupts are the client's
-// clock, not shard sickness — they must never open the breaker.
-func TestDeadlineFailuresDoNotTrip(t *testing.T) {
-	_, hs := newTestServer(t, Config{Shards: 1, BreakerThreshold: 2})
-	release := gateSolves(t)
-	for i := 0; i < 4; i++ {
-		code, _ := solve(t, hs, SolveRequest{
-			Scenario: testScenario(0.51 + float64(i)/100), TimeoutMillis: 30})
-		if code != http.StatusGatewayTimeout {
-			t.Fatalf("status %d, want 504", code)
-		}
-	}
-	release()
-	if m := scrapeMetrics(t, hs); m[`gangserved_breaker_state{shard="0"}`] != 0 {
-		t.Fatal("deadline failures tripped the breaker")
-	}
 }
 
 // TestDrainingRetryAfter: a draining server answers with a typed 503

@@ -72,22 +72,10 @@ type Config struct {
 	// MaxSweepTrials bounds the grid a single /v1/sweep may expand to.
 	// Default 4096.
 	MaxSweepTrials int
-	// BreakerThreshold is the number of consecutive countable solve
-	// failures (config, deadline and cancellation never count) that trips
-	// a shard's circuit breaker: traffic to the shard is rejected with a
-	// typed 503 while its session is discarded and rebuilt.
-	// Default 5; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped shard stays open before one
-	// half-open probe is admitted (success re-closes, failure re-opens).
-	// Default 10 s.
-	BreakerCooldown time.Duration
 	// CacheFsync makes the disk cache fsync after every appended record
 	// (crash-safety over throughput). Off by default: the cache is a
 	// rebuildable store, and recovery-on-open already contains torn tails.
 	CacheFsync bool
-	// breakerNow overrides the breaker clock in tests.
-	breakerNow func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -115,12 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSweepTrials <= 0 {
 		c.MaxSweepTrials = 4096
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
-	}
 	return c
 }
 
@@ -145,14 +127,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	met := newMetrics()
-	p, err := newPool(cfg.Shards, cfg.SolveParallel,
-		cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.breakerNow, met.breakerTransition)
+	p, err := newPool(cfg.Shards, cfg.SolveParallel)
 	if err != nil {
 		st.close()
 		return nil, err
 	}
 	p.onPanic = func() { met.panic("shard") }
-	p.onBreakerReject = func() { met.breakerRejected.Add(1) }
 	p.onSolved = met.solveDone
 	s := &Server{
 		cfg:     cfg,
@@ -362,8 +342,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, s.pool.counters(), s.store.memoLen(), s.store.diskLen(),
-		s.pool.breakerStates(), s.store.recovery())
+	s.met.write(w, s.pool.counters(), s.store.memoLen(), s.store.diskLen(), s.store.recovery())
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, v any, start time.Time) {
@@ -376,9 +355,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, v
 }
 
 // writeError maps a solver-path error onto its HTTP status via the
-// failure-taxonomy table and ships it as a JSON error body. Typed 503s
-// (drain, tripped breaker) carry a Retry-After so clients can tell
-// "come back shortly" apart from 429's token-bucket backpressure.
+// failure-taxonomy table and ships it as a JSON error body. A drain's
+// typed 503 carries a Retry-After so clients can tell "come back
+// shortly" apart from 429's token-bucket backpressure.
 func (s *Server) writeError(w http.ResponseWriter, endpoint string, err error, start time.Time) {
 	status := statusFor(err)
 	if ra := retryAfter(err); ra > 0 {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/certify"
 	"repro/internal/certify/faultinject"
 	"repro/internal/core"
+	"repro/internal/matrix"
 	"repro/internal/sweep"
 )
 
@@ -194,13 +195,33 @@ func TestShardRouting(t *testing.T) {
 
 // TestServedAnswerIsOneShotSolve: a served answer depends only on its
 // request. Solves routed in turn through one shard's session must each
-// equal the one-shot core.Solve of the same model bit for bit, and every
-// healthy answer must reach the shared disk tier.
+// equal the one-shot core.Solve of the same model bit for bit, also
+// after a solve on that session failed, and every healthy answer, and
+// only those, must reach the shared disk tier.
 func TestServedAnswerIsOneShotSolve(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
 	s, hs := newTestServer(t, Config{Shards: 1, CacheDir: t.TempDir()})
+	const failLambda = 0.45
 	var keys []string
-	for _, lambda := range []float64{0.40, 0.50, 0.42} {
+	for _, lambda := range []float64{0.40, failLambda, 0.50, 0.42} {
 		sc := testScenario(lambda)
+		if lambda == failLambda {
+			// A NaN planted in this request's R fails certification: a
+			// numeric 500, and nothing to store.
+			faultinject.ArmOnce("qbd.R", func(p any) error {
+				p.(*matrix.Dense).Set(0, 0, math.NaN())
+				return nil
+			})
+			req := SolveRequest{Scenario: sc}
+			resp, body := postRaw(t, hs.Client(), hs.URL+"/v1/solve", req)
+			if eb := errBody(t, body); resp.StatusCode != http.StatusInternalServerError || eb.Kind != "numeric" {
+				t.Fatalf("lambda=%g: status %d, kind %q, want a numeric 500\n%s", lambda, resp.StatusCode, eb.Kind, body)
+			}
+			if _, ok := s.store.disk.Get(req.trial().Key()); ok {
+				t.Errorf("lambda=%g: failed request reached the disk tier", lambda)
+			}
+			continue
+		}
 		code, resp := solve(t, hs, SolveRequest{Scenario: sc})
 		if code != http.StatusOK || resp.Cached {
 			t.Fatalf("lambda=%g: status %d, cached %v", lambda, code, resp.Cached)

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/certify"
 	"repro/internal/certify/faultinject"
@@ -42,21 +41,20 @@ var errShardPanic = errors.New("serve: solver panicked; shard session recycled")
 // shard is one solver worker: a goroutine owning a core.Session. All
 // requests with the same structural signature route to the same shard,
 // so the session's per-class chains refill in place. The session
-// pointer is atomic because a panic or a breaker trip replaces it while
-// the /metrics scraper is summing counters.
+// pointer is atomic because a panic replaces it while the /metrics
+// scraper is summing counters.
 type shard struct {
 	id    int
 	tasks chan *task
 	ses   atomic.Pointer[core.Session]
-	brk   *breaker
 }
 
 // session returns the shard's live session.
 func (sh *shard) session() *core.Session { return sh.ses.Load() }
 
-// recycle replaces the shard's session with a fresh one — after a panic
-// (the old session's internals may be torn mid-update) or a breaker
-// trip (its state is implicated in the failure streak).
+// recycle replaces the shard's session with a fresh one after a panic,
+// which may have left a chain torn mid-update. A solve that fails
+// without panicking leaves nothing behind, so no other failure recycles.
 // The retired session's counters move to the pool accumulator so the
 // /metrics pipeline totals stay monotone.
 func (sh *shard) recycle(p *pool) {
@@ -86,24 +84,18 @@ type pool struct {
 	retireMu sync.Mutex
 	retired  core.Counters
 
-	// onPanic, onBreakerReject and onSolved (when set, before traffic
-	// starts) observe each contained shard panic, each breaker-rejected
-	// dispatch, and each successfully executed shard solve — the metrics
-	// hooks.
-	onPanic         func()
-	onBreakerReject func()
-	onSolved        func(*SolveResponse)
+	// onPanic and onSolved (when set, before traffic starts) observe
+	// each contained shard panic and each successfully executed shard
+	// solve — the metrics hooks.
+	onPanic  func()
+	onSolved func(*SolveResponse)
 }
 
 // newPool starts n shard workers. parallel is each solve's per-class
 // dispatch width (core.SolveOptions.Parallel): shards are the
 // serving layer's primary parallelism axis, so the usual setting is 1;
 // a wide solve on a lightly sharded deployment is the opposing lever.
-// brkThreshold/brkCooldown configure each shard's circuit breaker
-// (threshold ≤ 0 disables); now is the breaker clock (nil = time.Now)
-// and onBreaker its transition hook, both injectable for tests.
-func newPool(n int, parallel int, brkThreshold int, brkCooldown time.Duration,
-	now func() time.Time, onBreaker func(shardID, from, to int)) (*pool, error) {
+func newPool(n int, parallel int) (*pool, error) {
 	p := &pool{parallel: parallel}
 	for i := 0; i < n; i++ {
 		ses, err := core.NewSession(core.SolveOptions{Parallel: parallel})
@@ -112,12 +104,6 @@ func newPool(n int, parallel int, brkThreshold int, brkCooldown time.Duration,
 		}
 		sh := &shard{id: i, tasks: make(chan *task, 64)}
 		sh.ses.Store(ses)
-		var hook func(from, to int)
-		if onBreaker != nil {
-			id := i
-			hook = func(from, to int) { onBreaker(id, from, to) }
-		}
-		sh.brk = newBreaker(brkThreshold, brkCooldown, now, hook)
 		p.shards = append(p.shards, sh)
 		p.wg.Add(1)
 		go func() {
@@ -130,17 +116,13 @@ func newPool(n int, parallel int, brkThreshold int, brkCooldown time.Duration,
 	return p, nil
 }
 
-// runTask executes one task on its shard with panic containment and
-// breaker accounting. A panicking solve is contained to this task: the
-// worker recycles the session (its internals may be torn mid-update)
-// and answers a typed 500. Countable failures (anything that is not the
-// request's own fault — config — or the client's clock — deadline,
-// cancellation) feed the breaker; a trip also recycles the session so
-// the next admitted task starts from a fresh session.
+// runTask executes one task on its shard with panic containment. A
+// panicking solve is contained to this task: the worker recycles the
+// session (its internals may be torn mid-update) and answers a typed
+// 500. Any other failure is the request's own, answered with its kind.
 func runTask(p *pool, sh *shard, tk *task) taskResult {
 	if tk.ctx.Err() != nil {
 		// The waiter is already gone; don't burn solver time on it.
-		sh.brk.cancelProbe()
 		return taskResult{err: deadlineFailure(tk.ctx, "serve.queue")}
 	}
 	if hook := testHookBeforeSolve; hook != nil {
@@ -153,15 +135,11 @@ func runTask(p *pool, sh *shard, tk *task) taskResult {
 			p.onSolved(resp)
 		}
 	}
-	panicked := errors.Is(err, errShardPanic)
-	if panicked {
+	if errors.Is(err, errShardPanic) {
 		sh.recycle(p)
 		if p.onPanic != nil {
 			p.onPanic()
 		}
-	}
-	if tripped := sh.brk.report(err != nil && failureCounts(err)); tripped && !panicked {
-		sh.recycle(p)
 	}
 	return taskResult{resp: resp, err: err}
 }
@@ -210,22 +188,6 @@ func responseFromOutcome(t sweep.Trial, out sweep.Outcome) *SolveResponse {
 	return resp
 }
 
-// failureCounts reports whether an error is evidence against the shard:
-// config errors are the request's fault, deadline/cancellation the
-// client's clock, drain the server's own choice — none says the shard's
-// solver or session state is sick.
-func failureCounts(err error) bool {
-	switch {
-	case errors.Is(err, certify.ErrConfig),
-		errors.Is(err, certify.ErrDeadline),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, errDraining):
-		return false
-	}
-	return true
-}
-
 // shardFor routes a trial to its home shard: an FNV-1a hash of the
 // structural signature, so equal-structure requests always share a
 // session and its built chains.
@@ -238,9 +200,7 @@ func (p *pool) shardFor(t sweep.Trial) int {
 // dispatch routes the trial to its shard and waits for the answer or the
 // request's deadline, whichever comes first. A task whose waiter left at
 // the deadline is still solved (the shard was already committed) but its
-// buffered out channel lets the shard move on immediately. A shard whose
-// breaker is open rejects up front with a typed 503 carrying the
-// cooldown remaining.
+// buffered out channel lets the shard move on immediately.
 func (p *pool) dispatch(ctx context.Context, t sweep.Trial) (*SolveResponse, error) {
 	p.mu.RLock()
 	if p.closed {
@@ -248,25 +208,12 @@ func (p *pool) dispatch(ctx context.Context, t sweep.Trial) (*SolveResponse, err
 		return nil, errDraining
 	}
 	sh := p.shards[p.shardFor(t)]
-	ok, retry, probe := sh.brk.allow()
-	if !ok {
-		p.mu.RUnlock()
-		if p.onBreakerReject != nil {
-			p.onBreakerReject()
-		}
-		return nil, &breakerOpenError{retry: retry}
-	}
 	tk := &task{trial: t, ctx: ctx, out: make(chan taskResult, 1)}
 	select {
 	case sh.tasks <- tk:
 		p.mu.RUnlock()
 	case <-ctx.Done():
 		p.mu.RUnlock()
-		if probe {
-			// The admitted probe never reached the shard; free the slot so
-			// the breaker can probe again.
-			sh.brk.cancelProbe()
-		}
 		return nil, deadlineFailure(ctx, "serve.enqueue")
 	}
 	select {
@@ -290,7 +237,7 @@ func deadlineFailure(ctx context.Context, stage string) error {
 // plus every retired (recycled) session — the /metrics scrape path, safe
 // mid-solve because Session.Counters is atomic and the session pointers
 // are too. Including retired sessions keeps the totals monotone across
-// panic/breaker recycles.
+// panic recycles.
 func (p *pool) counters() core.Counters {
 	p.retireMu.Lock()
 	c := p.retired
@@ -299,16 +246,6 @@ func (p *pool) counters() core.Counters {
 		c.Add(sh.session().Counters())
 	}
 	return c
-}
-
-// breakerStates returns each shard's current breaker state token, in
-// shard order — the /metrics gauge.
-func (p *pool) breakerStates() []string {
-	states := make([]string, len(p.shards))
-	for i, sh := range p.shards {
-		states[i] = sh.brk.stateName()
-	}
-	return states
 }
 
 // close stops accepting work, lets every shard finish its queue, and

@@ -48,8 +48,8 @@ var kindStatus = []struct {
 
 // statusFor maps a solver-path error to its HTTP status: deadline and
 // cancellation first (they are transport verdicts, whatever stage they
-// interrupted), then the serve-layer conditions (drain, breaker, shard
-// panic), then the failure taxonomy, then 500 for anything untyped.
+// interrupted), then the serve-layer conditions (drain, shard panic),
+// then the failure taxonomy, then 500 for anything untyped.
 func statusFor(err error) int {
 	switch {
 	case err == nil:
@@ -59,8 +59,6 @@ func statusFor(err error) int {
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, errBreakerOpen):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, errShardPanic):
 		return http.StatusInternalServerError
@@ -75,30 +73,22 @@ func statusFor(err error) int {
 
 // errorLabel names err for the JSON error body's kind field: the
 // serve-layer conditions get their own tokens so a client can tell a
-// drain (retry elsewhere now) from a tripped breaker (this shard is
-// cooling down) from a contained panic; everything else defers to the
-// certify taxonomy.
+// drain (retry elsewhere now) from a contained panic; everything else
+// defers to the certify taxonomy.
 func errorLabel(err error) string {
 	switch {
 	case errors.Is(err, errDraining):
 		return "draining"
-	case errors.Is(err, errBreakerOpen):
-		return "breaker-open"
 	case errors.Is(err, errShardPanic):
 		return "panic"
 	}
 	return certify.KindLabel(err)
 }
 
-// retryAfter extracts the client-facing retry hint carried by typed 503s:
-// a tripped breaker reports its cooldown remaining; a drain reports one
-// second (the instant another instance, or a restarted this one, could
-// answer). Zero means no hint.
+// retryAfter is the client-facing retry hint of the one typed 503 that
+// carries one, a drain: one second, the instant another instance (or a
+// restarted this one) could answer. Zero means no hint.
 func retryAfter(err error) time.Duration {
-	var ra interface{ RetryAfter() time.Duration }
-	if errors.As(err, &ra) {
-		return ra.RetryAfter()
-	}
 	if errors.Is(err, errDraining) {
 		return time.Second
 	}

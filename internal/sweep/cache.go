@@ -44,8 +44,9 @@ type cacheShard struct {
 // is truncated away, interior records that fail to parse or to verify
 // are quarantined to a ".corrupt" sidecar instead of silently vanishing,
 // and the counts are reported via Recovery — surfaced in sweep manifests
-// and on gangserved's /metrics. Records written before checksums existed
-// load fine and are counted as legacy.
+// and on gangserved's /metrics. Every record this file format has held
+// was written with a checksum, so a record without one is quarantined
+// like a mismatched one: dropping the field must not bypass the check.
 //
 // Lock order: Get/Put/Len hold resetMu read-side, then one stripe mutex
 // (and, for Put, ioMu for the disk append). Reset and Close take resetMu
@@ -75,15 +76,12 @@ type CacheOptions struct {
 // CacheRecovery reports what opening a disk cache had to repair.
 type CacheRecovery struct {
 	// Quarantined counts newline-terminated records that failed JSON
-	// parsing or checksum verification and were moved to the ".corrupt"
-	// sidecar next to the cache file.
+	// parsing or checksum verification (a missing checksum included) and
+	// were moved to the ".corrupt" sidecar next to the cache file.
 	Quarantined int `json:"quarantined,omitempty"`
 	// TornBytes is the length of the unterminated final line truncated
 	// away — the footprint of a crash mid-append.
 	TornBytes int64 `json:"tornBytes,omitempty"`
-	// Legacy counts records accepted without a checksum (written before
-	// the crc field existed).
-	Legacy int `json:"legacy,omitempty"`
 }
 
 // cacheRecord is one JSONL line of the on-disk store. CRC is the
@@ -114,17 +112,15 @@ func encodeRecord(key string, values map[string]float64) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// verifyRecord re-derives a decoded record's checksum. legacy is true
-// for pre-checksum records, which are accepted as-is.
-func verifyRecord(rec *cacheRecord) (ok, legacy bool) {
-	if rec.CRC == "" {
-		return true, true
-	}
+// verifyRecord re-derives a decoded record's checksum and reports
+// whether it matches the one the record carries; a record without one
+// fails.
+func verifyRecord(rec *cacheRecord) bool {
 	payload, err := json.Marshal(cacheRecord{Key: rec.Key, Values: rec.Values})
 	if err != nil {
-		return false, false
+		return false
 	}
-	return fmt.Sprintf("%08x", crc32.Checksum(payload, castagnoli)) == rec.CRC, false
+	return fmt.Sprintf("%08x", crc32.Checksum(payload, castagnoli)) == rec.CRC
 }
 
 // shard maps a content-hash key onto its stripe (FNV-1a, folded).
@@ -199,17 +195,9 @@ func (c *Cache) loadAndRecover(path string) error {
 		line := rest[:nl]
 		rest = rest[nl+1:]
 		var rec cacheRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" || !verifyRecord(&rec) {
 			corrupt = append(corrupt, line)
 			continue
-		}
-		ok, legacy := verifyRecord(&rec)
-		if !ok {
-			corrupt = append(corrupt, line)
-			continue
-		}
-		if legacy {
-			c.rec.Legacy++
 		}
 		c.shard(rec.Key).mem[rec.Key] = rec.Values
 		good = append(good, line)

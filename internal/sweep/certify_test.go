@@ -126,6 +126,12 @@ func TestClassFailureIsTrialError(t *testing.T) {
 	if pt := run.Manifest.PerTrial[0]; pt.Kind != "numeric" || run.Manifest.Errors != 1 {
 		t.Fatalf("manifest %+v, per-trial %+v", run.Manifest, pt)
 	}
+	// The failed attempt built and solved class chains: the manifest
+	// says what it cost.
+	if r.Counters.Builds == 0 || r.Counters.Solves == 0 || run.Manifest.Pipeline == nil {
+		t.Fatalf("failed trial reports no solver work: counters %+v, pipeline %v",
+			r.Counters, run.Manifest.Pipeline)
+	}
 	if cache.Len() != 0 {
 		t.Fatalf("failed trial cached: %d records", cache.Len())
 	}

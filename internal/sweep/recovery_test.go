@@ -165,12 +165,17 @@ func TestCacheRecoveryQuarantine(t *testing.T) {
 	}
 }
 
-// TestCacheRecoveryLegacy: pre-checksum records (no crc field) load
-// fine and are counted, not quarantined.
+// TestCacheRecoveryLegacy: a record in the pre-checksum format (no crc
+// field) is quarantined like a checksum mismatch and never served —
+// deleting the field from a tampered line must not bypass the check.
 func TestCacheRecoveryLegacy(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(cachePath(dir),
-		[]byte("{\"key\":\"old\",\"values\":{\"N0\":3.5}}\n"), 0o644); err != nil {
+	good, err := encodeRecord("good", map[string]float64{"N0": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := []byte("{\"key\":\"old\",\"values\":{\"N0\":3.5}}\n")
+	if err := os.WriteFile(cachePath(dir), append(bare, good...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c, err := OpenCache(dir)
@@ -178,11 +183,21 @@ func TestCacheRecoveryLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if rec := c.Recovery(); rec.Legacy != 1 || rec.Quarantined != 0 {
-		t.Fatalf("recovery %+v, want 1 legacy", rec)
+	if rec := c.Recovery(); rec != (CacheRecovery{Quarantined: 1}) {
+		t.Fatalf("recovery %+v, want 1 quarantined", rec)
 	}
-	if v, ok := c.Get("old"); !ok || v["N0"] != 3.5 {
-		t.Fatalf("legacy record lost: %v %v", v, ok)
+	if v, ok := c.Get("old"); ok {
+		t.Fatalf("record without a checksum served: %v", v)
+	}
+	if _, ok := c.Get("good"); !ok {
+		t.Fatal("verified record lost in repair")
+	}
+	side, err := os.ReadFile(cachePath(dir) + ".corrupt")
+	if err != nil || !bytes.Equal(side, bare) {
+		t.Fatalf("sidecar %q (%v), want the record without a checksum", side, err)
+	}
+	if data, err := os.ReadFile(cachePath(dir)); err != nil || !bytes.Equal(data, good) {
+		t.Fatalf("cache file %q (%v), want only the verified record", data, err)
 	}
 }
 

@@ -76,9 +76,9 @@ type TrialResult struct {
 	Status  string        `json:"-"`
 	Elapsed time.Duration `json:"-"`
 	Kind    string        `json:"-"` // failure-taxonomy label, manifest-only
-	// Counters are the trial's solver-pipeline statistics (zero for
-	// cached trials and non-analytic methods); manifest-only, summed
-	// into Manifest.Pipeline.
+	// Counters are the trial's solver-pipeline statistics, failed
+	// attempts included (zero for cached trials and non-analytic
+	// methods); manifest-only, summed into Manifest.Pipeline.
 	Counters core.Counters `json:"-"`
 }
 
@@ -129,7 +129,7 @@ type Manifest struct {
 	// all-simulation runs).
 	Pipeline *core.Counters `json:"pipeline,omitempty"`
 	// CacheRecovery reports what the disk cache's recovery-on-open had to
-	// repair (quarantined records, torn-tail bytes, legacy records).
+	// repair (quarantined records, torn-tail bytes).
 	// Omitted for healthy caches, so their manifests are unchanged.
 	CacheRecovery *CacheRecovery `json:"cacheRecovery,omitempty"`
 	PerTrial      []TrialStatus  `json:"perTrial"`
@@ -244,14 +244,17 @@ func runOne(ctx context.Context, t Trial, index int, opts Options, ses *core.Ses
 		}
 	}
 
+	// The trial's counters are what its attempt added to the session's,
+	// so a failed attempt reports the work it did too; for a healthy one
+	// this is exactly out.Result.Counters.
+	before := ses.Counters()
 	out, err := attemptTrial(t, ExecPolicy{
 		SolveParallel: opts.SolveParallel,
 		Newton:        opts.Newton,
 		Ctx:           ctx,
 	}, ses)
-	if out.Result != nil {
-		r.Counters = out.Result.Counters
-	}
+	r.Counters = ses.Counters()
+	r.Counters.Sub(before)
 	if err == nil && !out.Converged {
 		err = out.Result.ConvergenceErr()
 	}
