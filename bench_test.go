@@ -128,7 +128,7 @@ func BenchmarkRMatrixLogReduction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := qbd.RMatrixOp(proc.A0, proc.A1, proc.A2, qbd.RMatrixOptions{}); err != nil {
+		if _, err := qbd.RMatrix(proc.A0, proc.A1, proc.A2, qbd.RMatrixOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,9 +19,9 @@ type ClassChain struct {
 	space  *classSpace
 	layout levelLayout
 
-	// blocks, for single-arrival chains, are the level blocks the Proc
-	// operators alias; Refill regenerates their entries in place. Nil for
-	// batched chains, which always rebuild.
+	// blocks, for single-arrival chains, are the level blocks Proc
+	// aliases; Refill regenerates their entries in place. Nil for batched
+	// chains, which always rebuild.
 	blocks []classBlocks
 
 	quantum quantumScratch // ExtractEffectiveQuantum's buffers
@@ -56,10 +56,7 @@ func (ch *ClassChain) Refill(m *Model, p int, intervisit *phase.Dist) (bool, err
 		}
 	}
 	fillClassBlocks(ch.space, ch.blocks)
-	if err := certifyClassProcess(ch.Proc); err != nil {
-		return true, err
-	}
-	return true, nil
+	return true, validateClassProcess(ch.Proc)
 }
 
 // levelLayout describes the reblocking.
@@ -72,8 +69,7 @@ type levelLayout struct {
 }
 
 // BuildClassChain constructs class p's QBD (reblocked if the class has
-// batch arrivals) for the given intervisit distribution, adopting block
-// representations at the default CSR density threshold.
+// batch arrivals) for the given intervisit distribution.
 func BuildClassChain(m *Model, p int, intervisit *phase.Dist) (*ClassChain, error) {
 	if m.Classes[p].MaxBatch() == 1 {
 		proc, sp, lv, err := buildClassProcess(m, p, intervisit)
@@ -209,9 +205,9 @@ func buildBatchedChain(m *Model, p int, intervisit *phase.Dist) (*ClassChain, er
 		Local: []*matrix.Dense{local0},
 		Up:    []*matrix.Dense{up0},
 		Down:  []*matrix.Dense{nil, down1},
-		A0:    matrix.Op(a0), A1: matrix.Op(a1), A2: matrix.Op(a2),
+		A0:    a0, A1: a1, A2: a2,
 	}
-	if err := certifyClassProcess(proc); err != nil {
+	if err := validateClassProcess(proc); err != nil {
 		return nil, fmt.Errorf("core: batched chain: %w", err)
 	}
 	return &ClassChain{Proc: proc, space: sp, layout: ly}, nil
@@ -219,7 +215,7 @@ func buildBatchedChain(m *Model, p int, intervisit *phase.Dist) (*ClassChain, er
 
 // MeanJobs returns the mean physical job count E[N_p] from the solved
 // chain (eq. 37, adapted to the layout).
-func (ch *ClassChain) MeanJobs(sol *qbd.Solution) (float64, error) {
+func (ch *ClassChain) MeanJobs(sol *qbd.Solution) float64 {
 	if ch.layout.width == 1 {
 		return sol.MeanLevel()
 	}
@@ -236,7 +232,7 @@ func (ch *ClassChain) MeanJobs(sol *qbd.Solution) (float64, error) {
 			repeatBase[r*ly.n+si] = float64(ly.c + r)
 		}
 	}
-	return sol.WeightedMean([][]float64{w0}, repeatBase, float64(ly.width)), nil
+	return sol.WeightedMean([][]float64{w0}, repeatBase, float64(ly.width))
 }
 
 // PhysicalLevel returns the stationary probability vector of the physical

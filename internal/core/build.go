@@ -62,11 +62,7 @@ func buildClassProcess(m *Model, p int, intervisit *phase.Dist) (*qbd.Process, *
 	}
 	fillClassBlocks(sp, lv)
 
-	proc := &qbd.Process{
-		A0: matrix.Op(lv[c].up),
-		A1: matrix.Op(lv[c].local),
-		A2: matrix.Op(lv[c+1].down),
-	}
+	proc := &qbd.Process{A0: lv[c].up, A1: lv[c].local, A2: lv[c+1].down}
 	proc.Down = append(proc.Down, nil)
 	for i := 0; i < c; i++ {
 		proc.Local = append(proc.Local, lv[i].local)
@@ -75,7 +71,7 @@ func buildClassProcess(m *Model, p int, intervisit *phase.Dist) (*qbd.Process, *
 	for i := 1; i <= c; i++ {
 		proc.Down = append(proc.Down, lv[i].down)
 	}
-	if err := certifyClassProcess(proc); err != nil {
+	if err := validateClassProcess(proc); err != nil {
 		return nil, nil, nil, err
 	}
 	return proc, sp, lv, nil
@@ -126,16 +122,9 @@ func fillClassBlocks(sp *classSpace, lv []classBlocks) {
 	}
 }
 
-// certifyClassProcess runs the post-assembly checks shared by fresh
-// builds and refills: representation adoption of the arrival (A0) and
-// service-completion (A2) blocks — a handful of entries per row — at
-// matrix.DefaultAdoptMaxDensity, so the solvers run their CSR product
-// fast path, then generator-row validation. Adoption runs first: on a
-// refill the CSR operators still carry the previous rates until Adopt
-// resyncs them from their refilled dense origins (an in-place value
-// update when the sparsity pattern is unchanged, allocating nothing).
-func certifyClassProcess(proc *qbd.Process) error {
-	proc.Adopt(0)
+// validateClassProcess is the post-assembly check shared by fresh builds
+// and refills: every level's blocks must form generator rows.
+func validateClassProcess(proc *qbd.Process) error {
 	if err := proc.Validate(1e-8); err != nil {
 		return fmt.Errorf("core: built process invalid: %w", err)
 	}

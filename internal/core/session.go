@@ -216,10 +216,7 @@ func (s *Session) solveClass(m *Model, p int, f *phase.Dist, opts SolveOptions, 
 	cr.Solution = sol
 	cr.Cert = sol.Cert
 	cr.SpectralRadiusR = sol.Cert.SpectralRadius
-	cr.N, err = ch.MeanJobs(sol)
-	if err != nil {
-		return nil, err
-	}
+	cr.N = ch.MeanJobs(sol)
 	cr.T = cr.N / m.ArrivalRate(p)
 	cr.Effective, err = stageExtractQuantum(ch, sol, opts)
 	if err != nil {

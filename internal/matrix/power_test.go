@@ -270,7 +270,7 @@ func TestSpectralBoundConstantRowSumsNeedsNoSquaring(t *testing.T) {
 	// constant row sums and R is stochastic.
 	k := NewKron(KronTerm{Coef: 1,
 		L: NewFromRows([][]float64{{0.2, 0.1}, {0, 0.3}}),
-		R: NewFromRows([][]float64{{0.5, 0.5}, {0.25, 0.75}})}).Dense()
+		R: NewFromRows([][]float64{{0.5, 0.5}, {0.25, 0.75}})})
 	if s := checkTight(t, "kronecker", k); s != 0 {
 		t.Fatalf("Kronecker block took %d squarings, want 0", s)
 	}

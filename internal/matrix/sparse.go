@@ -193,25 +193,6 @@ func (s *Sparse) Density() float64 {
 	return float64(len(s.val)) / (float64(s.rows) * float64(s.cols))
 }
 
-// Scaled returns c·S. Entries whose scaled value is exactly zero (e.g. by
-// underflow) are dropped, keeping the stored pattern equal to the non-zero
-// pattern of the equivalent dense ScaledTo result.
-func (s *Sparse) Scaled(c float64) *Sparse {
-	out := &Sparse{rows: s.rows, cols: s.cols, rowPtr: make([]int, s.rows+1)}
-	out.colIdx = make([]int, 0, len(s.val))
-	out.val = make([]float64, 0, len(s.val))
-	for i := 0; i < s.rows; i++ {
-		for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
-			if v := c * s.val[p]; v != 0 {
-				out.colIdx = append(out.colIdx, s.colIdx[p])
-				out.val = append(out.val, v)
-			}
-		}
-		out.rowPtr[i+1] = len(out.val)
-	}
-	return out
-}
-
 // MulDenseTo computes C = S·B (CSR × dense) into dst, which must be
 // s.rows×b.cols and must not alias b. For each destination element the
 // stored-entry products accumulate in ascending k — exactly the terms and

@@ -57,21 +57,16 @@ var benchOrders = []struct {
 }
 
 // BenchmarkRMatrix measures the current R-matrix solver (workspace-reusing
-// in-place kernels, CSR products where the blocks are sparse).
+// in-place kernels, CSR products where the uniformized blocks are thin).
 func BenchmarkRMatrix(b *testing.B) {
 	for _, sz := range benchOrders {
 		b.Run(sz.name, func(b *testing.B) {
 			a0, a1, a2 := benchBlocks(sz.n)
 			opts := qbd.RMatrixOptions{Workspace: matrix.NewWorkspace()}
-			// Adopt A0/A2 by density for the CSR fast path, as the chain
-			// builders do.
-			op0 := matrix.AdoptOp(a0, 0)
-			op1 := matrix.Op(a1)
-			op2 := matrix.AdoptOp(a2, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := qbd.RMatrixOp(op0, op1, op2, opts); err != nil {
+				if _, err := qbd.RMatrix(a0, a1, a2, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,13 +89,10 @@ func BenchmarkRMatrixNewton(b *testing.B) {
 		b.Run(sz.name, func(b *testing.B) {
 			a0, a1, a2 := benchBlocks(sz.n)
 			opts := qbd.RMatrixOptions{Workspace: matrix.NewWorkspace(), Newton: true}
-			op0 := matrix.AdoptOp(a0, 0)
-			op1 := matrix.Op(a1)
-			op2 := matrix.AdoptOp(a2, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := qbd.RMatrixOp(op0, op1, op2, opts); err != nil {
+				if _, err := qbd.RMatrix(a0, a1, a2, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,11 +104,11 @@ func BenchmarkRMatrixNewton(b *testing.B) {
 // Kronecker structure: p partition/service macro-phases, each expanded
 // by a depth-q PH service stage — the shape the gang model's repeating
 // portion takes at P ~ thousands with deep phase-type service. A0 and A2
-// are genuine KronBlock operators (λ·I_p⊗I_q and μ·S_p⊗I_q); A1 is the
-// dense phase-churn block I_p⊗T_q + C_p⊗I_q with the diagonal completed
-// so A0+A1+A2 is a conservative generator. λ < μ, so the drift condition
-// holds at every tier.
-func hugeBlocks(p, q int) (op0, op1, op2 matrix.BlockOp) {
+// are Kronecker products (λ·I_p⊗I_q and μ·S_p⊗I_q, built by
+// matrix.NewKron); A1 is the dense phase-churn block I_p⊗T_q + C_p⊗I_q
+// with the diagonal completed so A0+A1+A2 is a conservative generator.
+// λ < μ, so the drift condition holds at every tier.
+func hugeBlocks(p, q int) (a0, a1, a2 *matrix.Dense) {
 	const lambda, mu = 0.6, 1.0
 	n := p * q
 
@@ -126,10 +118,10 @@ func hugeBlocks(p, q int) (op0, op1, op2 matrix.BlockOp) {
 		sp.Set(i, (i*7+1)%p, 0.7)
 		sp.Set(i, (i*3+2)%p, 0.3)
 	}
-	op0 = matrix.NewKron(matrix.KronTerm{Coef: lambda, L: matrix.Identity(p), R: matrix.Identity(q)})
-	op2 = matrix.NewKron(matrix.KronTerm{Coef: mu, L: sp, R: matrix.Identity(q)})
+	a0 = matrix.NewKron(matrix.KronTerm{Coef: lambda, L: matrix.Identity(p), R: matrix.Identity(q)})
+	a2 = matrix.NewKron(matrix.KronTerm{Coef: mu, L: sp, R: matrix.Identity(q)})
 
-	a1 := matrix.New(n, n)
+	a1 = matrix.New(n, n)
 	for i := 0; i < n; i++ {
 		ip, iq := i/q, i%q
 		a1.Set(i, ip*q+(iq+1)%q, 2.0)   // I_p ⊗ T_q: stage advance
@@ -139,14 +131,14 @@ func hugeBlocks(p, q int) (op0, op1, op2 matrix.BlockOp) {
 	for i := 0; i < n; i++ {
 		var s float64
 		for j := 0; j < n; j++ {
-			s += op0.At(i, j) + op2.At(i, j)
+			s += a0.At(i, j) + a2.At(i, j)
 			if j != i {
 				s += a1.At(i, j)
 			}
 		}
 		a1.Set(i, i, -s)
 	}
-	return op0, matrix.Op(a1), op2
+	return a0, a1, a2
 }
 
 // BenchmarkRMatrixHuge is the production-scale tier: block orders in the
@@ -163,7 +155,7 @@ func BenchmarkRMatrixHuge(b *testing.B) {
 		{"h2048", 64, 32},
 	}
 	for _, tier := range tiers {
-		op0, op1, op2 := hugeBlocks(tier.p, tier.q)
+		a0, a1, a2 := hugeBlocks(tier.p, tier.q)
 		for _, v := range []struct {
 			name   string
 			newton bool
@@ -176,7 +168,7 @@ func BenchmarkRMatrixHuge(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := qbd.RMatrixOp(op0, op1, op2, opts); err != nil {
+					if _, err := qbd.RMatrix(a0, a1, a2, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -205,29 +197,84 @@ func BenchmarkRMatrixPre(b *testing.B) {
 	}
 }
 
-// TestPreKernelAgrees pins the frozen baseline to the live solver: the
-// dense path and the CSR fast path must both produce the exact R of the
-// allocating kernel they replaced, bit for bit.
-func TestPreKernelAgrees(t *testing.T) {
-	a0, a1, a2 := benchBlocks(24)
-	pr, err := pRMatrix(fromDense(a0), fromDense(a1), fromDense(a2), 1e-12, 10000)
-	if err != nil {
-		t.Fatal(err)
+// spreadBlocks builds CTMC QBD blocks of order n whose arrivals (A0)
+// reach the phases j with (i+j) % stride0 == 0 and whose completions (A2)
+// reach those with (i+j) % stride2 == 0, with unequal weights, so neither
+// block commutes with the iterates. Their rows sum to λ and μ in every
+// phase, so the drift condition holds (λ < μ).
+func spreadBlocks(n, stride0, stride2 int) (a0, a1, a2 *matrix.Dense) {
+	const lambda, mu = 0.6, 1.0
+	a0, a1, a2 = matrix.New(n, n), matrix.New(n, n), matrix.New(n, n)
+	for i := 0; i < n; i++ {
+		var w0, w2 float64
+		for j := 0; j < n; j++ {
+			if (i+j)%stride0 == 0 {
+				w0 += float64(1 + (i*7+j*3)%5)
+			}
+			if (i+j)%stride2 == 0 {
+				w2 += float64(1 + (i+j*5)%4)
+			}
+		}
+		for j := 0; j < n; j++ {
+			if (i+j)%stride0 == 0 {
+				a0.Set(i, j, lambda*float64(1+(i*7+j*3)%5)/w0)
+			}
+			if (i+j)%stride2 == 0 {
+				a2.Set(i, j, mu*float64(1+(i+j*5)%4)/w2)
+			}
+			if j == (i+1)%n {
+				a1.Set(i, j, 2.0)
+			}
+		}
 	}
+	for i := 0; i < n; i++ {
+		var s float64
+		for j := 0; j < n; j++ {
+			s += a0.At(i, j) + a2.At(i, j)
+			if j != i {
+				s += a1.At(i, j)
+			}
+		}
+		a1.Set(i, i, -s)
+	}
+	return a0, a1, a2
+}
+
+// TestPreKernelAgrees pins the frozen baseline to the live solver on both
+// sides of the ladder's density rule: thin blocks, whose uniformized D₀
+// and D₂ the ladder multiplies through CSR copies, and blocks above 25%
+// non-zero, which it multiplies with the dense kernel. Each must produce,
+// through qbd.RMatrix, the exact R of the allocating kernel the in-place
+// rework replaced, bit for bit. The benchmark's thin blocks have A0 = λI,
+// which commutes with everything, so a second thin set routes arrivals.
+func TestPreKernelAgrees(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		o0, o1, o2 matrix.BlockOp
+		name   string
+		n      int
+		blocks func() (a0, a1, a2 *matrix.Dense)
+		thin   bool
 	}{
-		{"dense", matrix.Op(a0), matrix.Op(a1), matrix.Op(a2)},
-		{"sparse", matrix.AdoptOp(a0, 1), matrix.Op(a1), matrix.AdoptOp(a2, 1)},
+		{"thin", 24, func() (a0, a1, a2 *matrix.Dense) { return benchBlocks(24) }, true},
+		{"thin routed", 24, func() (a0, a1, a2 *matrix.Dense) { return spreadBlocks(24, 6, 8) }, true},
+		{"dense", 12, func() (a0, a1, a2 *matrix.Dense) { return spreadBlocks(12, 1, 2) }, false},
 	} {
-		r, err := qbd.RMatrixOp(tc.o0, tc.o1, tc.o2, qbd.RMatrixOptions{})
+		a0, a1, a2 := tc.blocks()
+		for _, a := range []*matrix.Dense{a0, a2} {
+			if d := matrix.FromDense(a).Density(); (d <= 0.25) != tc.thin {
+				t.Fatalf("%s: block density %v is on the wrong side of 25%%", tc.name, d)
+			}
+		}
+		pr, err := pRMatrix(fromDense(a0), fromDense(a1), fromDense(a2), 1e-12, 10000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 24; i++ {
-			for j := 0; j < 24; j++ {
-				if r.At(i, j) != pr.at(i, j) {
+		r, err := qbd.RMatrix(a0, a1, a2, qbd.RMatrixOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.n; i++ {
+			for j := 0; j < tc.n; j++ {
+				if math.Float64bits(r.At(i, j)) != math.Float64bits(pr.at(i, j)) {
 					t.Fatalf("%s R[%d][%d]: live %v != pre %v", tc.name, i, j, r.At(i, j), pr.at(i, j))
 				}
 			}

@@ -85,7 +85,7 @@ func TestLadderRecoversFromInjectedNaN(t *testing.T) {
 func TestRMatrixJoinsLadderErrors(t *testing.T) {
 	p := mm1(1, 2)
 	// An impossible budget: both rungs exhaust a single iteration.
-	_, err := RMatrixOp(p.A0, p.A1, p.A2, RMatrixOptions{Tol: 1e-15, MaxIter: 1, Newton: true, NewtonMinOrder: 1})
+	_, err := RMatrix(p.A0, p.A1, p.A2, RMatrixOptions{Tol: 1e-15, MaxIter: 1, Newton: true, NewtonMinOrder: 1})
 	if err == nil {
 		t.Fatal("one-iteration budget converged")
 	}
@@ -110,7 +110,7 @@ func TestRMatrixJoinsLadderErrors(t *testing.T) {
 // TestSolveConfigErrorsTyped: validation failures classify as ErrConfig.
 func TestSolveConfigErrorsTyped(t *testing.T) {
 	p := mm1(1, 2)
-	p.A0.Dense().Set(0, 0, -1) // negative rate: invalid generator
+	p.A0.Set(0, 0, -1) // negative rate: invalid generator
 	_, err := Solve(p, RMatrixOptions{})
 	if !errors.Is(err, certify.ErrConfig) {
 		t.Fatalf("invalid process → %v, want ErrConfig", err)
@@ -121,13 +121,13 @@ func TestSolveConfigErrorsTyped(t *testing.T) {
 // the allocation-free reference residual bit for bit.
 func TestCertifyRMatchesResidualR(t *testing.T) {
 	p := mErlang2_1(0.7, 1)
-	r, err := RMatrixOp(p.A0, p.A1, p.A2, RMatrixOptions{})
+	r, err := RMatrix(p.A0, p.A1, p.A2, RMatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert := CertifyR(r, p.A0.Dense(), p.A1.Dense(), p.A2.Dense(), certify.Tolerances{})
+	cert := CertifyR(r, p.A0, p.A1, p.A2, certify.Tolerances{})
 	scale := p.A0.InfNorm() + p.A1.InfNorm() + p.A2.InfNorm()
-	if want := ResidualR(r, p.A0.Dense(), p.A1.Dense(), p.A2.Dense()) / scale; cert.Residual != want {
+	if want := ResidualR(r, p.A0, p.A1, p.A2) / scale; cert.Residual != want {
 		t.Fatalf("certifier residual %g != reference %g", cert.Residual, want)
 	}
 	if err := cert.VerifyR(); err != nil {

@@ -19,7 +19,7 @@ func reflectedProcess(a0, a1, a2 *matrix.Dense) *Process {
 		Local: []*matrix.Dense{matrix.Sum(a1, a2)},
 		Up:    []*matrix.Dense{a0},
 		Down:  []*matrix.Dense{nil, a2},
-		A0:    matrix.Op(a0), A1: matrix.Op(a1), A2: matrix.Op(a2),
+		A0:    a0, A1: a1, A2: a2,
 	}
 }
 

@@ -25,12 +25,12 @@ import (
 // cost only two multiplies.
 //
 // Two structural wins pay for the rung on large blocks: the k = 0 step
-// multiplies by the original B₀/B₂ operators (near-free for the gang
-// model's λI and CSR completion blocks), and the stop rule exploits the
+// multiplies by B₀/B₂ themselves (near-free through the CSR copies of
+// the gang model's λI and completion blocks), and the stop rule exploits the
 // quadratic decay — when ‖increment‖ < √Tol the truncation error of Û
 // is ≈ Tol, so the rung stops one squaring earlier than a fixed-point
 // criterion would and lets post-hoc certification judge the residual.
-func newtonCyclicReductionR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
+func newtonCyclicReductionR(id *matrix.Dense, b0 uBlock, d1 *matrix.Dense, b2 uBlock, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
 	n := d1.Rows()
 	stop := math.Sqrt(opts.Tol)
 
@@ -63,10 +63,10 @@ func newtonCyclicReductionR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dens
 		lu.InverseTo(inv) // L_k
 		// Increment first: Û only needs D₀⁽ᵏ⁾·L_k·D₂⁽ᵏ⁾, so on the final
 		// step the other four products are never computed. At k = 0 the
-		// products run through the original block operators.
+		// products run through the uniformized blocks themselves.
 		if iter == 0 {
-			b2.MulFromLeftTo(w2, inv) // L·D₂
-			b0.MulDenseTo(inc, w2)    // D₀·L·D₂
+			b2.leftMulTo(w2, inv) // L·D₂
+			b0.mulTo(inc, w2)     // D₀·L·D₂
 		} else {
 			matrix.MulTo(w2, inv, c2)
 			matrix.MulTo(inc, c0, w2)
@@ -82,10 +82,10 @@ func newtonCyclicReductionR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dens
 			break
 		}
 		if iter == 0 {
-			b0.MulFromLeftTo(w0, inv) // L·D₀
-			b2.MulDenseTo(t, w0)      // D₂·L·D₀
-			b0.MulDenseTo(c0n, w0)    // D₀·L·D₀
-			b2.MulDenseTo(c2n, w2)    // D₂·L·D₂
+			b0.leftMulTo(w0, inv) // L·D₀
+			b2.mulTo(t, w0)       // D₂·L·D₀
+			b0.mulTo(c0n, w0)     // D₀·L·D₀
+			b2.mulTo(c2n, w2)     // D₂·L·D₂
 		} else {
 			matrix.MulTo(w0, inv, c0)
 			matrix.MulTo(t, c2, w0)
@@ -108,7 +108,7 @@ func newtonCyclicReductionR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dens
 	}
 	lu.InverseTo(inv)
 	// Freshly allocated: R escapes to the caller.
-	r := b0.MulDenseTo(matrix.New(n, n), inv)
+	r := b0.mulTo(matrix.New(n, n), inv)
 	cleanup()
 	return r, iters, nil
 }

@@ -37,33 +37,17 @@ type Process struct {
 	Up    []*matrix.Dense
 	Down  []*matrix.Dense // indexed 1..b; Down[0] is unused and may be nil
 
-	// A0, A1, A2 are the repeating blocks as pluggable operators
-	// (matrix.BlockOp): dense, CSR, or Kronecker-structured. Builders
-	// assemble them with matrix.Op and call Adopt to pick the fastest
-	// representation; all representations are pinned bitwise against the
-	// dense reference, so the choice never changes results.
-	A0, A1, A2 matrix.BlockOp
-}
-
-// Adopt re-certifies the representation of the sparse-candidate blocks
-// A0 and A2 by density (non-positive maxDensity means
-// matrix.DefaultAdoptMaxDensity). A CSR block whose sparsity pattern is
-// unchanged since the last adoption is refilled in place — the Session
-// refill path allocates nothing. A1 carries the diagonal and is never
-// sparse enough to win, so it keeps its representation. Idempotent.
-func (p *Process) Adopt(maxDensity float64) {
-	p.A0 = matrix.ReadoptOp(p.A0, maxDensity)
-	p.A2 = matrix.ReadoptOp(p.A2, maxDensity)
+	// A0, A1, A2 are the repeating blocks, plain dense matrices. Whether
+	// products with A0 and A2 skip their zeros is the R ladder's private
+	// choice, made per solve on its uniformized copies (rmatrix.go).
+	A0, A1, A2 *matrix.Dense
 }
 
 // Boundary returns b, the number of boundary levels.
 func (p *Process) Boundary() int { return len(p.Local) }
 
 // RepeatDim returns the phase dimension of the repeating levels.
-func (p *Process) RepeatDim() int {
-	n, _ := p.A1.Dims()
-	return n
-}
+func (p *Process) RepeatDim() int { return p.A1.Rows() }
 
 // Validate checks block shapes and that every level's blocks form a
 // generator row (total row sums zero within tol).
@@ -76,10 +60,7 @@ func (p *Process) Validate(tol float64) error {
 		return fmt.Errorf("qbd: have %d Up and %d Down blocks, want %d and %d", len(p.Up), len(p.Down), b, b+1)
 	}
 	n := p.RepeatDim()
-	a0r, a0c := p.A0.Dims()
-	a2r, a2c := p.A2.Dims()
-	_, a1c := p.A1.Dims()
-	if a0r != n || a0c != n || a2r != n || a2c != n || a1c != n {
+	if p.A0.Rows() != n || p.A0.Cols() != n || p.A2.Rows() != n || p.A2.Cols() != n || p.A1.Cols() != n {
 		return errors.New("qbd: repeating blocks must be square and same size")
 	}
 	dim := func(i int) int {
@@ -107,7 +88,7 @@ func (p *Process) Validate(tol float64) error {
 	// Generator row sums per level, with tolerance relative to the row's
 	// rate scale (|diagonal|): stiff models with fast context-switch rates
 	// legitimately accumulate absolute error proportional to their rates.
-	rowOK := func(level string, diag interface{ At(i, j int) float64 }, sums ...[]float64) error {
+	rowOK := func(level string, diag *matrix.Dense, sums ...[]float64) error {
 		n := len(sums[0])
 		for i := 0; i < n; i++ {
 			var t float64
@@ -149,7 +130,7 @@ func mathAbs(x float64) float64 {
 // positive recurrent iff upRate < downRate, where upRate = y·A₀·e and
 // downRate = y·A₂·e for y the stationary vector of A = A₀+A₁+A₂.
 func (p *Process) Drift() (upRate, downRate float64, err error) {
-	a := matrix.Sum(matrix.Sum(p.A0.Dense(), p.A1.Dense()), p.A2.Dense())
+	a := matrix.Sum(matrix.Sum(p.A0, p.A1), p.A2)
 	y, err := markov.StationaryGTH(a)
 	if err != nil {
 		return 0, 0, fmt.Errorf("qbd: phase process A is reducible: %w", err)

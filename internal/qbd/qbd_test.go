@@ -23,9 +23,9 @@ func mm1(lambda, mu float64) *Process {
 		Local: []*matrix.Dense{one(-lambda)},
 		Up:    []*matrix.Dense{one(lambda)},
 		Down:  []*matrix.Dense{nil, one(mu)},
-		A0:    matrix.Op(one(lambda)),
-		A1:    matrix.Op(one(-(lambda + mu))),
-		A2:    matrix.Op(one(mu)),
+		A0:    one(lambda),
+		A1:    one(-(lambda + mu)),
+		A2:    one(mu),
 	}
 }
 
@@ -37,9 +37,9 @@ func mmc(lambda, mu float64, c int) *Process {
 		return m
 	}
 	p := &Process{
-		A0: matrix.Op(one(lambda)),
-		A1: matrix.Op(one(-(lambda + float64(c)*mu))),
-		A2: matrix.Op(one(float64(c) * mu)),
+		A0: one(lambda),
+		A1: one(-(lambda + float64(c)*mu)),
+		A2: one(float64(c) * mu),
 	}
 	p.Down = append(p.Down, nil)
 	for i := 0; i < c; i++ {
@@ -70,7 +70,7 @@ func mErlang2_1(lambda, mu float64) *Process {
 		Local: []*matrix.Dense{local0},
 		Up:    []*matrix.Dense{up0},
 		Down:  []*matrix.Dense{nil, down1},
-		A0:    matrix.Op(a0), A1: matrix.Op(a1), A2: matrix.Op(a2),
+		A0:    a0, A1: a1, A2: a2,
 	}
 }
 
@@ -82,7 +82,7 @@ func TestValidateMM1(t *testing.T) {
 
 func TestValidateCatchesBadRowSums(t *testing.T) {
 	p := mm1(1, 2)
-	p.A0.Dense().Set(0, 0, 99)
+	p.A0.Set(0, 0, 99)
 	if err := p.Validate(1e-12); err == nil {
 		t.Fatal("expected row-sum validation error")
 	}
@@ -102,14 +102,14 @@ func TestValidateCatchesShapeErrors(t *testing.T) {
 
 func TestRMatrixMM1(t *testing.T) {
 	p := mm1(1, 2)
-	r, err := RMatrixOp(p.A0, p.A1, p.A2, RMatrixOptions{})
+	r, err := RMatrix(p.A0, p.A1, p.A2, RMatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(r.At(0, 0), 0.5, 1e-10) {
 		t.Fatalf("R = %g, want rho = 0.5", r.At(0, 0))
 	}
-	if res := ResidualR(r, p.A0.Dense(), p.A1.Dense(), p.A2.Dense()); res > 1e-9 {
+	if res := ResidualR(r, p.A0, p.A1, p.A2); res > 1e-9 {
 		t.Fatalf("residual = %g", res)
 	}
 }
@@ -122,7 +122,7 @@ func TestLogarithmicReductionRAllocs(t *testing.T) {
 	ws := matrix.NewWorkspace()
 	n := p.RepeatDim()
 	id := ws.Get(n, n).SetIdentity()
-	b0, d1, b2, release := uniformizeOps(ws, p.A0, p.A1, p.A2)
+	b0, d1, b2, release := uniformize(ws, p.A0, p.A1, p.A2)
 	defer release()
 	opts := RMatrixOptions{}.withDefaults()
 	run := func() {
@@ -174,10 +174,7 @@ func TestSolveMM1Exact(t *testing.T) {
 			t.Fatalf("pi_%d = %g, want %g", i, got, want)
 		}
 	}
-	n, err := sol.MeanLevel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := sol.MeanLevel()
 	if !almostEq(n, rho/(1-rho), 1e-10) {
 		t.Fatalf("N = %g, want %g", n, rho/(1-rho))
 	}
@@ -216,10 +213,7 @@ func TestSolveMM2MatchesErlangC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := sol.MeanLevel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := sol.MeanLevel()
 	want := erlangCMeanJobs(lambda, mu, 2)
 	if !almostEq(n, want, 1e-8) {
 		t.Fatalf("N = %g, want %g (Erlang-C)", n, want)
@@ -232,10 +226,7 @@ func TestSolveMM4MatchesErlangC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := sol.MeanLevel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := sol.MeanLevel()
 	want := erlangCMeanJobs(lambda, mu, 4)
 	if !almostEq(n, want, 1e-8) {
 		t.Fatalf("N = %g, want %g (Erlang-C)", n, want)
@@ -250,10 +241,7 @@ func TestSolveMErlang21MatchesPK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := sol.MeanLevel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := sol.MeanLevel()
 	want := rho + rho*rho*(1+0.5)/(2*(1-rho))
 	if !almostEq(n, want, 1e-8) {
 		t.Fatalf("N = %g, want %g (P-K)", n, want)
@@ -382,10 +370,7 @@ func TestPropertyAgainstTruncatedGTH(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		n, err := sol.MeanLevel()
-		if err != nil {
-			return false
-		}
+		n := sol.MeanLevel()
 		// Brute force on a truncated chain.
 		const depth = 400
 		q := matrix.New(depth, depth)
@@ -425,7 +410,7 @@ func TestPropertyRNonNegative(t *testing.T) {
 		if err != nil || !stable {
 			return true // skip unstable draws
 		}
-		r, err := RMatrixOp(p.A0, p.A1, p.A2, RMatrixOptions{})
+		r, err := RMatrix(p.A0, p.A1, p.A2, RMatrixOptions{})
 		if err != nil {
 			return false
 		}
@@ -436,7 +421,7 @@ func TestPropertyRNonNegative(t *testing.T) {
 				}
 			}
 		}
-		return ResidualR(r, p.A0.Dense(), p.A1.Dense(), p.A2.Dense()) < 1e-8
+		return ResidualR(r, p.A0, p.A1, p.A2) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -463,10 +448,7 @@ func TestWeightedMeanMatchesMeanLevel(t *testing.T) {
 		repeatBase[s] = float64(b)
 	}
 	got := sol.WeightedMean(boundary, repeatBase, 1)
-	want, err := sol.MeanLevel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sol.MeanLevel()
 	if !almostEq(got, want, 1e-10) {
 		t.Fatalf("WeightedMean = %g, MeanLevel = %g", got, want)
 	}
@@ -486,7 +468,7 @@ func TestWeightedMeanConstantWeightIsMass(t *testing.T) {
 
 func TestSolveValidatesProcess(t *testing.T) {
 	p := mm1(1, 2)
-	p.A0.Dense().Set(0, 0, 42) // break row sums
+	p.A0.Set(0, 0, 42) // break row sums
 	if _, err := Solve(p, RMatrixOptions{}); err == nil {
 		t.Fatal("expected validation error from Solve")
 	}
@@ -502,7 +484,7 @@ func TestDriftReduciblePhaseProcess(t *testing.T) {
 		Local: []*matrix.Dense{matrix.NewFromRows([][]float64{{-0.5, 0}, {0, -0.5}})},
 		Up:    []*matrix.Dense{a0},
 		Down:  []*matrix.Dense{nil, a2},
-		A0:    matrix.Op(a0), A1: matrix.Op(a1), A2: matrix.Op(a2),
+		A0:    a0, A1: a1, A2: a2,
 	}
 	_ = z
 	if _, _, err := p.Drift(); err == nil {

@@ -19,9 +19,9 @@ var ErrUnstable = errors.New("qbd: process is not positive recurrent")
 //
 // Workspace is a pure fast-path option: every solver below runs the exact
 // same sequence of rounded floating-point operations with or without it,
-// so enabling reuse never changes a result bit. (Block representation is
-// likewise never a semantics knob: the matrix.BlockOp implementations are
-// pinned bitwise against the dense reference.)
+// so enabling reuse never changes a result bit. The ladder's private
+// choice of CSR products for thin uniformized blocks (csrMaxDensity) is
+// likewise invisible in the result.
 type RMatrixOptions struct {
 	Tol     float64 // sup-norm stopping tolerance (default 1e-12)
 	MaxIter int     // iteration budget (default 10000)
@@ -40,7 +40,7 @@ type RMatrixOptions struct {
 	// Off by default so the small-tier ladder order — and the cold sweep
 	// artifacts pinned byte-identical across releases — never changes
 	// unless a caller opts in. A Newton result always carries a
-	// Certificate, even on the raw RMatrix/RMatrixOp entry points; a
+	// Certificate, even on the raw RMatrix entry point; a
 	// rejected Newton attempt is recorded in the certificate path and
 	// logarithmic reduction, the ladder's only other rung, decides.
 	Newton bool
@@ -115,6 +115,14 @@ func iterTick(opts *RMatrixOptions, iter int) error {
 // substochastic.
 const uniformizeMargin = 1.0000001
 
+// csrMaxDensity is the share of non-zero entries at or below which a
+// uniformized D₀ or D₂ is multiplied through a CSR copy instead of the
+// dense kernel: the gang model's arrival and completion blocks hold a
+// handful of entries per row. Either way the product is bit for bit the
+// dense one (Sparse.MulDenseTo and MulCSRTo are pinned to MulTo), so the
+// threshold moves time, never an answer.
+const csrMaxDensity = 0.25
+
 // Ladder rung names, in the order they are attempted.
 const (
 	rungNewton       = "newton"
@@ -133,14 +141,6 @@ const (
 // certify.Failure, so the caller sees why every attempt died, not just
 // the last.
 func RMatrix(a0, a1, a2 *matrix.Dense, opts RMatrixOptions) (*matrix.Dense, error) {
-	return RMatrixOp(matrix.Op(a0), matrix.Op(a1), matrix.Op(a2), opts)
-}
-
-// RMatrixOp is RMatrix against operator-represented blocks: callers with
-// structured generators (CSR via matrix.AdoptOp, Kronecker sums via
-// matrix.NewKron) avoid ever materializing dense blocks on the hot path.
-// Representation never changes the result bitwise.
-func RMatrixOp(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions) (*matrix.Dense, error) {
 	r, _, err := rMatrixLadder(a0, a1, a2, opts.withDefaults(), nil)
 	return r, err
 }
@@ -148,13 +148,13 @@ func RMatrixOp(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions) (*matrix.Dense, e
 // rMatrixLadder runs the R ladder: the Newton rung, when opts.Newton is
 // set and the block order reaches opts.NewtonMinOrder, then logarithmic
 // reduction. The Newton rung's R is always certified. With certTol == nil
-// (the raw RMatrix entry points) logarithmic reduction's R is accepted as
+// (the raw RMatrix entry point) logarithmic reduction's R is accepted as
 // long as it is finite; with certTol set (the Solve path) it is certified
 // too — finite entries, fixed-point residual below tolerance — before
 // being accepted. The returned certificate records the path and the
 // total iteration count.
-func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *certify.Tolerances) (*matrix.Dense, *certify.Certificate, error) {
-	n, _ := a1.Dims()
+func rMatrixLadder(a0, a1, a2 *matrix.Dense, opts RMatrixOptions, certTol *certify.Tolerances) (*matrix.Dense, *certify.Certificate, error) {
+	n := a1.Rows()
 	if n == 0 {
 		c := &certify.Certificate{Finite: true}
 		if certTol != nil {
@@ -164,7 +164,7 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 	}
 	ws := opts.workspace()
 	id := ws.Get(n, n).SetIdentity()
-	b0, d1, b2, release := uniformizeOps(ws, a0, a1, a2)
+	b0, d1, b2, release := uniformize(ws, a0, a1, a2)
 
 	var (
 		path     []string
@@ -176,7 +176,7 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 	// accepted R and its certificate, or records the failure and returns
 	// nils. A rung interrupted by the caller's deadline sets canceled: the
 	// ladder aborts instead of descending — the next rung would restart
-	// work the caller has already given up on. On the raw entry points
+	// work the caller has already given up on. On the raw entry point
 	// (certTol == nil) a certificate is an internal acceptance gate whose
 	// SpectralRadius is never surfaced to a caller, so its spectral bound
 	// stops as soon as sp(R) < 1 is witnessed — still rigorous, but loose;
@@ -226,7 +226,7 @@ func rMatrixLadder(a0, a1, a2 matrix.BlockOp, opts RMatrixOptions, certTol *cert
 		cert *certify.Certificate
 	)
 	if opts.Newton && n >= opts.NewtonMinOrder {
-		// Newton rung: always certified, even on the raw entry points
+		// Newton rung: always certified, even on the raw entry point
 		// where logarithmic reduction runs uncertified — an early-stopped
 		// quadratic iteration's truncation error must be judged, never
 		// assumed. A rejection is recorded in the path and logarithmic
@@ -294,7 +294,7 @@ func classifyRungErr(err error) error {
 // the tight upper bound on sp(R) of matrix.SpectralRadiusUpperBoundWS.
 // All scratch comes from ws; the arithmetic matches ResidualR term for
 // term.
-func certifyRWS(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tolerances, ws *matrix.Workspace) *certify.Certificate {
+func certifyRWS(r, a0, a1, a2 *matrix.Dense, tol certify.Tolerances, ws *matrix.Workspace) *certify.Certificate {
 	return certifyRWSBound(r, a0, a1, a2, tol, ws, false)
 }
 
@@ -304,7 +304,7 @@ func certifyRWS(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Toleranc
 // Collatz–Wielandt bracket closes. Both are rigorous upper bounds, so
 // VerifyR's stability verdict is sound either way; the quick variant is
 // reserved for certificates that never leave the ladder.
-func certifyRWSBound(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tolerances, ws *matrix.Workspace, quickSpectral bool) *certify.Certificate {
+func certifyRWSBound(r, a0, a1, a2 *matrix.Dense, tol certify.Tolerances, ws *matrix.Workspace, quickSpectral bool) *certify.Certificate {
 	c := &certify.Certificate{Tol: tol, Finite: r.Finite()}
 	if !c.Finite {
 		c.Residual = math.Inf(1)
@@ -316,10 +316,10 @@ func certifyRWSBound(r *matrix.Dense, a0, a1, a2 matrix.BlockOp, tol certify.Tol
 		scale = 1
 	}
 	t1, t2, t3 := ws.Get(n, n), ws.Get(n, n), ws.Get(n, n)
-	a1.MulFromLeftTo(t1, r)  // r·a1
-	a0.AddScaledTo(t1, 1)    // a0 + r·a1
+	matrix.MulTo(t1, r, a1)  // r·a1
+	matrix.AddTo(t1, a0, t1) // a0 + r·a1
 	matrix.MulTo(t2, r, r)   // r²
-	a2.MulFromLeftTo(t3, t2) // r²·a2
+	matrix.MulTo(t3, t2, a2) // r²·a2
 	matrix.AddTo(t1, t1, t3) // (a0 + r·a1) + r²·a2
 	c.Residual = t1.InfNorm() / scale
 	ws.Put(t1, t2, t3)
@@ -338,52 +338,71 @@ func CertifyR(r, a0, a1, a2 *matrix.Dense, tol certify.Tolerances) *certify.Cert
 	if tol == (certify.Tolerances{}) {
 		tol = certify.DefaultTolerances()
 	}
-	return certifyRWS(r, matrix.Op(a0), matrix.Op(a1), matrix.Op(a2), tol, matrix.NewWorkspace())
+	return certifyRWS(r, a0, a1, a2, tol, matrix.NewWorkspace())
 }
 
-// uniformizeOps maps CTMC blocks to DTMC blocks Dk with
+// uniformize maps CTMC blocks to DTMC blocks Dk with
 // D0 = A0/c, D1 = A1/c + I, D2 = A2/c for c the maximum exit rate
-// inflated by uniformizeMargin. D1 is always dense (the +I fill-in
-// makes it so); D0/D2 keep their operator representation — a dense block
-// scales into a workspace matrix, a structured block scales through its
-// own Scaled (Sparse.Scaled drops exact zeros, so a CSR pattern always
-// matches the dense non-zero pattern). release returns the workspace
-// scratch.
-func uniformizeOps(ws *matrix.Workspace, a0, a1, a2 matrix.BlockOp) (b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, release func()) {
-	n, _ := a1.Dims()
-	a1d := a1.Dense()
+// inflated by uniformizeMargin, each written into a workspace matrix.
+// D1 stays dense (the +I fill-in makes it so); D0 and D2 come back as
+// uBlocks that carry a CSR copy when they are thin. release returns the
+// workspace scratch.
+func uniformize(ws *matrix.Workspace, a0, a1, a2 *matrix.Dense) (b0 uBlock, d1 *matrix.Dense, b2 uBlock, release func()) {
+	n := a1.Rows()
 	var c float64
 	for i := 0; i < n; i++ {
-		if r := -a1d.At(i, i); r > c {
+		if r := -a1.At(i, i); r > c {
 			c = r
 		}
 	}
 	c *= uniformizeMargin
-	var scratch []*matrix.Dense
-	scale := func(op matrix.BlockOp) matrix.BlockOp {
-		if db, ok := op.(*matrix.DenseBlock); ok {
-			m := matrix.ScaledTo(ws.Get(n, n), 1/c, db.Dense())
-			scratch = append(scratch, m)
-			return matrix.Op(m)
-		}
-		return op.Scaled(1 / c)
-	}
-	b0 = scale(a0)
-	d1 = matrix.ScaledTo(ws.Get(n, n), 1/c, a1d)
+	b0 = newUBlock(matrix.ScaledTo(ws.Get(n, n), 1/c, a0))
+	d1 = matrix.ScaledTo(ws.Get(n, n), 1/c, a1)
 	for i := 0; i < n; i++ {
 		d1.Add(i, i, 1)
 	}
-	b2 = scale(a2)
-	scratch = append(scratch, d1)
-	release = func() { ws.Put(scratch...) }
+	b2 = newUBlock(matrix.ScaledTo(ws.Get(n, n), 1/c, a2))
+	release = func() { ws.Put(b0.d, d1, b2.d) }
 	return b0, d1, b2, release
+}
+
+// uBlock is a uniformized D₀ or D₂: the dense block and, when at most
+// csrMaxDensity of its entries are non-zero, a CSR copy of it that the
+// rungs and rFromG multiply through. The copy stores exactly the
+// non-zero entries, so its products are bit for bit the dense block's.
+type uBlock struct {
+	d *matrix.Dense
+	s *matrix.Sparse
+}
+
+func newUBlock(d *matrix.Dense) uBlock {
+	if s := matrix.FromDense(d); s.Density() <= csrMaxDensity {
+		return uBlock{d: d, s: s}
+	}
+	return uBlock{d: d}
+}
+
+// mulTo computes dst = D·x.
+func (b uBlock) mulTo(dst, x *matrix.Dense) *matrix.Dense {
+	if b.s != nil {
+		return b.s.MulDenseTo(dst, x)
+	}
+	return matrix.MulTo(dst, b.d, x)
+}
+
+// leftMulTo computes dst = x·D.
+func (b uBlock) leftMulTo(dst, x *matrix.Dense) *matrix.Dense {
+	if b.s != nil {
+		return matrix.MulCSRTo(dst, x, b.s)
+	}
+	return matrix.MulTo(dst, x, b.d)
 }
 
 // logReductionG is the Latouche–Ramaswami iteration: quadratic convergence
 // in the number of levels explored (level 2ᵏ after k steps). It returns G
 // (first-passage to the level below) plus the iteration count. G and all
 // interior scratch come from ws; the caller puts G back when done with it.
-func logReductionG(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
+func logReductionG(id *matrix.Dense, b0 uBlock, d1 *matrix.Dense, b2 uBlock, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
 	n := d1.Rows()
 	m := matrix.DiffTo(ws.Get(n, n), id, d1)
 	lu := ws.GetLU(n)
@@ -396,8 +415,8 @@ func logReductionG(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 mat
 	lu.InverseTo(base)
 	h := ws.Get(n, n) // up
 	l := ws.Get(n, n) // down
-	b0.MulFromLeftTo(h, base)
-	b2.MulFromLeftTo(l, base)
+	b0.leftMulTo(h, base)
+	b2.leftMulTo(l, base)
 	g := ws.Get(n, n).CopyFrom(l)
 	t := ws.Get(n, n).CopyFrom(h)
 	hl, lh, u := ws.Get(n, n), ws.Get(n, n), ws.Get(n, n)
@@ -445,7 +464,7 @@ func logReductionG(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 mat
 
 // logarithmicReductionR computes G by logarithmic reduction and converts it
 // to R = D₀·(I − D₁ − D₀·G)⁻¹.
-func logarithmicReductionR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense, b2 matrix.BlockOp, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
+func logarithmicReductionR(id *matrix.Dense, b0 uBlock, d1 *matrix.Dense, b2 uBlock, ws *matrix.Workspace, opts RMatrixOptions) (*matrix.Dense, int, error) {
 	g, iters, err := logReductionG(id, b0, d1, b2, ws, opts)
 	if err != nil {
 		return nil, iters, err
@@ -456,10 +475,10 @@ func logarithmicReductionR(id *matrix.Dense, b0 matrix.BlockOp, d1 *matrix.Dense
 }
 
 // rFromG converts G to R = D₀·(I − D₁ − D₀·G)⁻¹.
-func rFromG(id *matrix.Dense, b0 matrix.BlockOp, d1, g *matrix.Dense, ws *matrix.Workspace) (*matrix.Dense, error) {
+func rFromG(id *matrix.Dense, b0 uBlock, d1, g *matrix.Dense, ws *matrix.Workspace) (*matrix.Dense, error) {
 	n := d1.Rows()
 	m := ws.Get(n, n) // D₀·G, then D₁ + D₀·G, then I − (D₁ + D₀·G)
-	b0.MulDenseTo(m, g)
+	b0.mulTo(m, g)
 	matrix.AddTo(m, d1, m)
 	matrix.DiffTo(m, id, m)
 	lu := ws.GetLU(n)
@@ -471,7 +490,7 @@ func rFromG(id *matrix.Dense, b0 matrix.BlockOp, d1, g *matrix.Dense, ws *matrix
 	inv := ws.Get(n, n)
 	lu.InverseTo(inv)
 	// Freshly allocated: R escapes to the caller.
-	r := b0.MulDenseTo(matrix.New(n, n), inv)
+	r := b0.mulTo(matrix.New(n, n), inv)
 	ws.Put(m, inv)
 	ws.PutLU(lu)
 	return r, nil

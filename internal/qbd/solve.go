@@ -110,10 +110,10 @@ func completeCertificate(cert *certify.Certificate, p *Process, sol *Solution) {
 // roundoff level; a contaminated or mass-losing one does not.
 func boundaryResidual(p *Process, sol *Solution) float64 {
 	b := p.Boundary()
-	local := matrix.VecMul(sol.PiB, p.A1.Dense())
+	local := matrix.VecMul(sol.PiB, p.A1)
 	prev := sol.Boundary[b-1] // π_{b−1}: last boundary vector (b ≥ 1 by construction)
 	up := matrix.VecMul(prev, p.Up[b-1])
-	down := matrix.VecMul(sol.repeatLevel(1), p.A2.Dense())
+	down := matrix.VecMul(sol.repeatLevel(1), p.A2)
 	scale := p.A1.InfNorm()
 	if scale == 0 {
 		scale = 1
@@ -168,8 +168,8 @@ func solveBoundary(p *Process, r *matrix.Dense, ws *matrix.Workspace) (*Solution
 	// level b+1: π_{b+1}·A₂ = π_b·R·A₂.
 	embedAt(m, offs[b-1], offs[b], p.Up[b-1])
 	ra2 := ws.Get(n, n)
-	p.A2.MulFromLeftTo(ra2, r) // R·A₂, through whatever representation A₂ has
-	matrix.AddTo(ra2, p.A1.Dense(), ra2)
+	matrix.MulTo(ra2, r, p.A2)
+	matrix.AddTo(ra2, p.A1, ra2)
 	embedAt(m, offs[b], offs[b], ra2)
 	ws.Put(ra2)
 
@@ -233,11 +233,11 @@ func embedAt(m *matrix.Dense, r0, c0 int, src *matrix.Dense) {
 	}
 }
 
-func (s *Solution) tail2() (*matrix.Dense, error) {
+func (s *Solution) tail2() *matrix.Dense {
 	if s.sumR2 == nil {
 		s.sumR2 = matrix.Mul(s.sumR, s.sumR)
 	}
-	return s.sumR2, nil
+	return s.sumR2
 }
 
 // repeatLevel returns the memoized π_{b+k} = π_b·Rᵏ (k ≥ 0). Each vector
@@ -288,20 +288,16 @@ func (s *Solution) LevelMass(i int) float64 { return matrix.VecSum(s.Level(i)) }
 // class-p jobs in the system (paper eq. 37):
 //
 //	N = Σ_{i<b} i·π_i·e + b·π_b·(I−R)⁻¹·e + π_b·(I−R)⁻²·R·e
-func (s *Solution) MeanLevel() (float64, error) {
+func (s *Solution) MeanLevel() float64 {
 	b := s.Process.Boundary()
 	var nbar float64
 	for i := 1; i < b; i++ {
 		nbar += float64(i) * matrix.VecSum(s.Boundary[i])
 	}
 	nbar += float64(b) * matrix.Dot(s.PiB, s.tailE)
-	t2, err := s.tail2()
-	if err != nil {
-		return 0, err
-	}
 	re := s.R.RowSums()
-	nbar += matrix.Dot(s.PiB, matrix.MulVec(t2, re))
-	return nbar, nil
+	nbar += matrix.Dot(s.PiB, matrix.MulVec(s.tail2(), re))
+	return nbar
 }
 
 // WeightedMean returns E[w(state)] for a per-state weight that is
@@ -325,9 +321,8 @@ func (s *Solution) WeightedMean(boundary [][]float64, repeatBase []float64, slop
 	}
 	mean += matrix.Dot(s.PiB, matrix.MulVec(s.sumR, repeatBase))
 	if slope != 0 {
-		t2, _ := s.tail2()
 		re := s.R.RowSums()
-		mean += slope * matrix.Dot(s.PiB, matrix.MulVec(t2, re))
+		mean += slope * matrix.Dot(s.PiB, matrix.MulVec(s.tail2(), re))
 	}
 	return mean
 }
@@ -335,12 +330,8 @@ func (s *Solution) WeightedMean(boundary [][]float64, repeatBase []float64, slop
 // TailProb returns P[level ≥ k].
 func (s *Solution) TailProb(k int) float64 {
 	b := s.Process.Boundary()
-	var below float64
-	for i := 0; i < b && i < k; i++ {
-		below += matrix.VecSum(s.Boundary[i])
-	}
 	if k <= b {
-		// Everything from level k to b−1 counted above; add full tail.
+		// The boundary levels k..b−1 plus the whole repeating tail.
 		tail := matrix.Dot(s.PiB, s.tailE)
 		return clampProb(tail + boundaryMassBetween(s, k, b))
 	}

@@ -41,6 +41,9 @@ func chaosDuration() time.Duration {
 //   - the process never dies (every request gets an HTTP answer; healthz
 //     at the end);
 //   - no NaN or uncertified value is ever served on a 200;
+//   - at least a quarter of the two-class requests answer a 200 that
+//     passes those checks, so they reach coupled classes, not only the
+//     failure paths;
 //   - no request is refused with a 503: a shard solves every request it
 //     is handed, and after the storm a one-class and a two-class
 //     request each answer 200;
@@ -111,7 +114,10 @@ func TestChaosSoak(t *testing.T) {
 		}
 		return nil
 	})
-	nanC := faultinject.ArmChaos("qbd.R", 44, 0.10, func(p any) error {
+	// The NaN schedule rolls once per certified R solve, and a two-class
+	// request runs about forty of them across its fixed-point rounds, so
+	// its rate is kept low enough that most two-class requests survive it.
+	nanC := faultinject.ArmChaos("qbd.R", 44, 0.01, func(p any) error {
 		p.(*matrix.Dense).Set(0, 0, math.NaN()) // certification must catch it: a typed failure, never a NaN 200
 		return nil
 	})
@@ -126,6 +132,12 @@ func TestChaosSoak(t *testing.T) {
 		clientErrs  atomic.Int64
 		deadlineAt  = time.Now().Add(chaosDuration())
 		workerCount = 4
+		// sent and healthy tally, by class count, the requests answered
+		// and the 200s that passed every invariant; solves2 sums the QBD
+		// solves (each rolls the qbd.R schedule once) of the solved2
+		// two-class 200s that ran the solver.
+		sent, healthy    [3]atomic.Int64
+		solves2, solved2 atomic.Int64
 	)
 	// post sends one k-class request and returns its status (0 when no
 	// HTTP answer came back).
@@ -143,6 +155,7 @@ func TestChaosSoak(t *testing.T) {
 		byCode[resp.StatusCode]++
 		total++
 		mu.Unlock()
+		sent[k].Add(1)
 		if resp.StatusCode != http.StatusOK {
 			return resp.StatusCode
 		}
@@ -167,6 +180,11 @@ func TestChaosSoak(t *testing.T) {
 				unhealthy.Add(1)
 				return resp.StatusCode
 			}
+		}
+		healthy[k].Add(1)
+		if k == 2 && !sr.Cached && !sr.Coalesced {
+			solves2.Add(int64(sr.Counters.Solves))
+			solved2.Add(1)
 		}
 		return resp.StatusCode
 	}
@@ -198,6 +216,9 @@ func TestChaosSoak(t *testing.T) {
 	soakPanics, soakErrs, soakNaNs := panicC.Injected(), errC.Injected(), nanC.Injected()
 	t.Logf("soak: %d requests, byCode=%v, injected: %d panics %d errors %d NaN iterates %d delays",
 		total, byCode, soakPanics, soakErrs, soakNaNs, latC.Injected())
+	t.Logf("healthy 200s: one-class %d of %d, two-class %d of %d; %.1f QBD solves per solved two-class request",
+		healthy[1].Load(), sent[1].Load(), healthy[2].Load(), sent[2].Load(),
+		float64(solves2.Load())/float64(max(solved2.Load(), 1)))
 
 	if clientErrs.Load() > 0 {
 		t.Fatalf("%d requests got no HTTP answer — daemon died mid-soak", clientErrs.Load())
@@ -208,6 +229,9 @@ func TestChaosSoak(t *testing.T) {
 	if soakPanics == 0 || soakErrs == 0 || soakNaNs == 0 {
 		t.Fatalf("chaos schedules injected nothing (panics=%d errs=%d NaNs=%d); soak proved nothing",
 			soakPanics, soakErrs, soakNaNs)
+	}
+	if h, n := healthy[2].Load(), sent[2].Load(); 4*h < n {
+		t.Fatalf("only %d of %d two-class requests answered a healthy 200; the soak barely reached coupled classes", h, n)
 	}
 	if n := byCode[http.StatusServiceUnavailable]; n != 0 {
 		t.Fatalf("%d requests refused with a 503 during the soak", n)
